@@ -242,3 +242,40 @@ class TestHelpers:
         p = parse_process("q!l(x).q?x1(x).q!l(x).0")
         q = subst_expr_in_proc(p, "x", S.NatLit(7))
         assert show(q) == "q!l(7).q?x1(x).q!l(x).0"
+
+
+def substitute(term, var, repl):
+    """term[repl/var] for a variable node var."""
+    if isinstance(var, S.ProcVar):
+        return S.subst_proc_var(term, var.name, repl)
+    if isinstance(var, S.TVar):
+        return S.subst_type_var(term, var.name, repl)
+    return S.subst_global_var(term, var.name, repl)
+
+
+class TestCaptureAvoidingRenaming:
+    def test_process_binder_renamed_away_from_a_free_variable(self):
+        p = parse_process("mu Y.q!l(1).X")
+        assert show(substitute(p, S.ProcVar("X"), S.ProcVar("Y"))) == (
+            "mu Y_1.q!l(1).Y")
+
+    def test_input_binder_renamed_away_from_a_free_expression_variable(self):
+        p = parse_process("q?l(x).X")
+        repl = parse_process("q!l(x).0")
+        assert show(substitute(p, S.ProcVar("X"), repl)) == (
+            "q?l(x_1).q!l(x).0")
+
+    def test_type_binder_renamed_away_from_a_free_variable(self):
+        t = parse_session_type("mu u.p!l(nat).t")
+        assert show(substitute(t, TVar("t"), TVar("u"))) == "mu u_1.p!l(nat).u"
+
+    def test_global_binder_renamed_away_from_a_free_variable(self):
+        g = parse_global_type("mu u.p -> q : l(nat).t")
+        assert show(substitute(g, S.GVar("t"), S.GVar("u"))) == (
+            "mu u_1.p -> q : l(nat).u")
+
+    def test_uniquify_renames_only_the_shadowing_binder(self):
+        g = parse_global_type(
+            "mu t.p -> q : { a(nat).mu t.q -> p : l(nat).t, b(nat).t }")
+        assert show(S.alpha_uniquify_global(g)) == (
+            "mu t.p -> q : { a(nat).mu t_1.q -> p : l(nat).t_1, b(nat).t }")
