@@ -12,7 +12,6 @@ from .characteristic import (
     char_global,
     char_proc,
     counterexample_session,
-    denotational_probe,
     fresh_participant,
     preciseness_check,
 )
@@ -75,7 +74,6 @@ from .subtyping import (
     format_derivation,
     nsub,
     sub,
-    sub_stats,
 )
 from .syntax import (
     GBranch,
@@ -93,7 +91,6 @@ from .syntax import (
     TVar,
     participants_of,
     regular_tree_equal,
-    subterm_closure,
     unfold,
 )
 from .typecheck import check_process, check_session, synthesize_process

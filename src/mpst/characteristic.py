@@ -205,15 +205,3 @@ def preciseness_check(t: S.SessionType, tp: S.SessionType,
         "nleq", False,
         f"completeness violated: counterexample session reported "
         f"{report.verdict}", (), verdict.derivation)
-
-
-def denotational_probe(t: S.SessionType, tp: S.SessionType) -> bool:
-    """True iff typability of the characteristic process implies subtyping."""
-    from .errors import TypingError
-    from .subtyping import sub
-
-    try:
-        check_process({}, {}, char_proc(t), tp)
-    except TypingError:
-        return True
-    return sub(t, tp)

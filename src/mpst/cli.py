@@ -5,7 +5,9 @@ check-proc, check-session, run, stuck, char-global, char-proc, precise.
 
 Exit codes: 0 for positive verdicts (subtype holds, well typed, projection
 defined, terminated or safe), 1 for negative verdicts (refutation found, ill
-typed, stuck, fuel exhausted), 2 for usage and parse errors.
+typed, stuck, fuel exhausted), 2 for usage errors and malformed input: parse
+errors, ill-formed terms (duplicate labels, self-communication, unguarded
+recursion) and input that nests too deeply for the recursive procedures.
 
 `--json` renders the report as one JSON document with fields command,
 verdict, witness, timings; everything except timings is stable across runs.
@@ -27,8 +29,9 @@ from importlib import resources
 from . import printer, syntax
 from .characteristic import char_global, char_proc, counterexample_session, \
     preciseness_check
-from .errors import FuelMisuse, MpstError, ParseError, ParticipantClash, \
-    ProjectionError, TypingError
+from .errors import DuplicateLabel, FuelMisuse, MpstError, ParseError, \
+    ParticipantClash, ProjectionError, SelfCommunication, TypingError, \
+    UnguardedRecursion
 from .global_types import project
 from .parser import parse, parse_global_type, parse_process, parse_session, \
     parse_session_type
@@ -125,8 +128,13 @@ def _cmd_parse(args, rep: _Report) -> None:
     if category == "session":
         try:
             value = parse_session(src)
-        except ParseError:
-            value = parse_process(src)
+        except ParseError as as_session:
+            try:
+                value = parse_process(src)
+            except ParseError as as_process:
+                # Report the grammar that read further into the input.
+                raise max(as_session, as_process,
+                          key=lambda e: (e.line, e.col)) from None
     else:
         value = parse(src, category)
     rep.verdict = "ok"
@@ -356,24 +364,26 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         args.fn(args, rep)
-    except _Usage as e:
+        elapsed = time.monotonic() - started
+        if args.json:
+            doc = {"command": rep.command, "verdict": rep.verdict,
+                   "witness": rep.witness,
+                   "timings": {"seconds": round(elapsed, 6)}}
+            rep.lines = [json.dumps(doc, indent=2)]
+    except (_Usage, ParseError, FuelMisuse) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ParseError, FuelMisuse) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (DuplicateLabel, SelfCommunication, UnguardedRecursion) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
         return 2
     except MpstError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    elapsed = time.monotonic() - started
-    if args.json:
-        doc = {"command": rep.command, "verdict": rep.verdict,
-               "witness": rep.witness,
-               "timings": {"seconds": round(elapsed, 6)}}
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in rep.lines:
-            print(line)
+    for line in rep.lines:
+        print(line)
     return rep.exit_code
 
 

@@ -83,7 +83,7 @@ def project(g: S.GlobalType, role: str) -> S.SessionType:
             pending[u.var] = []
             body = go(u.body, path)
             obligations = pending.pop(u.var)
-            if u.var in S.free_type_vars(body):
+            if S.TVar(u.var) in S.free_vars(body):
                 try:
                     result: S.SessionType = S.TRec(u.var, body)
                 except S.UnguardedRecursion:
@@ -93,7 +93,7 @@ def project(g: S.GlobalType, role: str) -> S.SessionType:
             else:
                 result = body
             for needed, opath in obligations:
-                solved = S.subst_type_var(needed, u.var, result)
+                solved = S.subst(needed, S.TVar(u.var), result)
                 if not S.regular_tree_equal(result, solved):
                     raise ProjectionError(
                         "mergeUndefined", opath,

@@ -7,7 +7,7 @@ Concrete syntax overview (comments run from '#' to end of line):
                     mu X.P   X   0
     sessions        @p P || @q Q
     session types   q?l(nat).T & q?l2(int).T2      (intersection of inputs)
-                    q!l(nat).T \/ q!l2(int).T2     (union of outputs)
+                    q!l(nat).T \\/ q!l2(int).T2     (union of outputs)
                     mu t.T   t   end
     global types    p -> q : { l1(nat). G1, l2(bool). G2 }
                     p -> q : l(nat).G              (single branch, no braces)

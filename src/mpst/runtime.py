@@ -130,8 +130,8 @@ def step_all(m: S.Session) -> list[tuple[Step, S.Session]]:
             if summand is None:
                 continue
             for v in sorted(eval_all(proc.payload), key=str):
-                body = S.subst_expr_in_proc(summand.body, summand.var,
-                                            value_to_expr(v))
+                body = S.subst(summand.body, S.Var(summand.var),
+                               value_to_expr(v))
                 step = Step("r-comm",
                             f"{role} --{proc.label}({v})--> {proc.partner}",
                             source=role, target=proc.partner,

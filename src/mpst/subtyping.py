@@ -37,16 +37,10 @@ Prefix = (S.TIn, S.TOut)
 
 
 def sub(a: S.SessionType, b: S.SessionType) -> bool:
-    return _sub(a, b, frozenset(), None)
+    return _sub(a, b, frozenset())
 
 
-def sub_stats(a: S.SessionType, b: S.SessionType) -> tuple[bool, int]:
-    """Like `sub`, also reporting the largest assumption set reached."""
-    stats = {"max": 0}
-    return _sub(a, b, frozenset(), stats), stats["max"]
-
-
-def _sub(a: S.SessionType, b: S.SessionType, theta: frozenset, stats) -> bool:
+def _sub(a: S.SessionType, b: S.SessionType, theta: frozenset) -> bool:
     a = S.unfold_spine(a)
     b = S.unfold_spine(b)
     if (a, b) in theta:
@@ -59,9 +53,7 @@ def _sub(a: S.SessionType, b: S.SessionType, theta: frozenset, stats) -> bool:
                    for br in b.branches):
             return False
         grown = theta | {(a, b)}
-        if stats is not None:
-            stats["max"] = max(stats["max"], len(grown))
-        return all(_sub(left[br.label].cont, br.cont, grown, stats)
+        return all(_sub(left[br.label].cont, br.cont, grown)
                    for br in b.branches)
     if isinstance(a, S.TOut) and isinstance(b, S.TOut) and a.receiver == b.receiver:
         right = {br.label: br for br in b.branches}
@@ -69,9 +61,7 @@ def _sub(a: S.SessionType, b: S.SessionType, theta: frozenset, stats) -> bool:
                    for br in a.branches):
             return False
         grown = theta | {(a, b)}
-        if stats is not None:
-            stats["max"] = max(stats["max"], len(grown))
-        return all(_sub(br.cont, right[br.label].cont, grown, stats)
+        return all(_sub(br.cont, right[br.label].cont, grown)
                    for br in a.branches)
     return False
 
@@ -218,7 +208,7 @@ class Verdict:
 def decide(a: S.SessionType, b: S.SessionType) -> Verdict:
     """Decide the pair, insisting that exactly one of the two procedures
     claims it."""
-    if _sub(a, b, frozenset(), None):
+    if sub(a, b):
         return Verdict("leq")
     try:
         d = nsub(a, b)

@@ -11,16 +11,21 @@ the package relies on:
     binder without crossing a communication prefix);
   * nobody communicates with themselves (global types and session entries).
 
-Recursion is equi-recursive: a binder is identified with its unfolding.  The
-helpers at the bottom (substitution, unfolding, regular-tree equality) give
-that identification operational teeth.
+Every term class declares its shape once: which fields hold subterms, which
+name participants, and which variable class a binder binds.  One traversal
+reads those declarations and gives free variables, participants,
+capture-avoiding substitution, unfolding and binder renaming for all
+categories.  Recursion is equi-recursive: a binder is identified with its
+unfolding, and the helpers at the bottom (unfolding, regular-tree equality)
+give that identification operational teeth.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter, is_
 from typing import Iterable, Union
 
 from .errors import DuplicateLabel, SelfCommunication, UnguardedRecursion
@@ -42,7 +47,53 @@ class Sort(enum.Enum):
         return self.value
 
 
-class _Shown:
+def _getter(names: tuple[str, ...]):
+    """A function from a node to the tuple of its fields called `names`."""
+    if not names:
+        return lambda t: ()
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda t: (get(t),)
+    return attrgetter(*names)
+
+
+class _Term:
+    """Base of every term node.  Each class declares its shape once:
+
+      _kids   the fields holding subterms; they come last in field order;
+      _many   true when the one kid field holds a tuple of subterms;
+      _names  the fields holding participant names;
+      _binds  for a binder, the variable class its `var` field names.
+
+    From these the class gets `_children`, `_fixed` (the other fields) and
+    `_roles`, which everything below goes through.  Facts derived from a
+    node are cached on it as attributes outside the dataclass fields, so
+    equality, hashing and repr never see them.  They are stored with
+    object.__setattr__, never through `__dict__`: materialising an
+    instance dict slows every later attribute read, and so hashing.
+    """
+
+    _kids: tuple[str, ...] = ()
+    _many = False
+    _names: tuple[str, ...] = ()
+    _binds: type | None = None
+    _fixed = _children = _roles = staticmethod(lambda t: ())
+    _free = _parts = None  # cached by free_vars and participants_of
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = tuple(vars(cls).get("__annotations__", ()))
+        if not fields or "_children" in vars(cls):  # a base, or Session
+            return
+        cut = len(fields) - len(cls._kids)
+        assert fields[cut:] == cls._kids, f"{cls.__name__}: kids must come last"
+        cls._fixed = staticmethod(_getter(fields[:cut]))
+        cls._children = staticmethod(
+            attrgetter(cls._kids[0]) if cls._many else _getter(cls._kids))
+        cls._roles = staticmethod(_getter(cls._names))
+
+
+class _Shown(_Term):
     """Mixin routing str() through the canonical pretty printer."""
 
     def __str__(self) -> str:
@@ -51,17 +102,25 @@ class _Shown:
         return printer.show(self)
 
 
+@dataclass(frozen=True)
+class _Variable(_Shown):
+    """A variable occurrence.  Each category has its own variable class, so
+    equal names in different categories are different variables."""
+
+    name: str
+    _what = "variable"
+
+    def __post_init__(self) -> None:
+        _require_ident(self.name, self._what)
+
+
 # --------------------------------------------------------------------------
 # Expressions
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var(_Shown):
-    name: str
-
-    def __post_init__(self) -> None:
-        _require_ident(self.name, "variable")
+class Var(_Variable):
+    pass
 
 
 @dataclass(frozen=True)
@@ -86,16 +145,19 @@ class BoolLit(_Shown):
 @dataclass(frozen=True)
 class Succ(_Shown):
     arg: "Expr"
+    _kids = ("arg",)
 
 
 @dataclass(frozen=True)
 class Neg(_Shown):
     arg: "Expr"
+    _kids = ("arg",)
 
 
 @dataclass(frozen=True)
 class Not(_Shown):
     arg: "Expr"
+    _kids = ("arg",)
 
 
 @dataclass(frozen=True)
@@ -104,12 +166,14 @@ class Choice(_Shown):
 
     left: "Expr"
     right: "Expr"
+    _kids = ("left", "right")
 
 
 @dataclass(frozen=True)
 class Gt(_Shown):
     left: "Expr"
     right: "Expr"
+    _kids = ("left", "right")
 
 
 Expr = Union[Var, NatLit, IntLit, BoolLit, Succ, Neg, Not, Choice, Gt]
@@ -118,6 +182,28 @@ Expr = Union[Var, NatLit, IntLit, BoolLit, Succ, Neg, Not, Choice, Gt]
 def int_literal(value: int) -> Expr:
     """Literal with the minimal numeric tag: non-negatives are naturals."""
     return NatLit(value) if value >= 0 else IntLit(value)
+
+
+# --------------------------------------------------------------------------
+# Recursion binders
+# --------------------------------------------------------------------------
+
+
+class _Mu(_Shown):
+    """The recursion binders Rec, TRec and GRec: fields `var` and `body`."""
+
+    _kids = ("body",)
+
+    def __post_init__(self) -> None:
+        self._binds(self.var)  # validates the name
+        # mu t.t (also via nested binders, mu t.mu s.t) is not a term.
+        binders = {self.var}
+        node = self.body
+        while type(node) is type(self):
+            binders.add(node.var)
+            node = node.body
+        if type(node) is self._binds and node.name in binders:
+            raise UnguardedRecursion(f"mu {self.var} reaches {node.name} unguarded")
 
 
 # --------------------------------------------------------------------------
@@ -131,6 +217,9 @@ class Input(_Shown):
     label: str
     var: str
     body: "Process"
+    _kids = ("body",)
+    _names = ("partner",)
+    _binds = Var
 
     def __post_init__(self) -> None:
         _require_ident(self.partner, "participant")
@@ -144,6 +233,8 @@ class Output(_Shown):
     label: str
     payload: Expr
     body: "Process"
+    _kids = ("payload", "body")
+    _names = ("partner",)
 
     def __post_init__(self) -> None:
         _require_ident(self.partner, "participant")
@@ -155,6 +246,8 @@ class ExtChoice(_Shown):
     """External choice.  Kept flat: no branch is itself an ExtChoice."""
 
     branches: tuple["Process", ...]
+    _kids = ("branches",)
+    _many = True
 
     def __post_init__(self) -> None:
         if len(self.branches) < 2:
@@ -168,31 +261,18 @@ class Cond(_Shown):
     guard: Expr
     then: "Process"
     orelse: "Process"
+    _kids = ("guard", "then", "orelse")
+
+
+class ProcVar(_Variable):
+    _what = "process variable"
 
 
 @dataclass(frozen=True)
-class Rec(_Shown):
+class Rec(_Mu):
     var: str
     body: "Process"
-
-    def __post_init__(self) -> None:
-        _require_ident(self.var, "process variable")
-        # mu X.X (also via nested binders, mu X.mu Y.X) is not a process.
-        binders = {self.var}
-        node: Process = self.body
-        while isinstance(node, Rec):
-            binders.add(node.var)
-            node = node.body
-        if isinstance(node, ProcVar) and node.name in binders:
-            raise UnguardedRecursion(f"mu {self.var} reaches {node.name} unguarded")
-
-
-@dataclass(frozen=True)
-class ProcVar(_Shown):
-    name: str
-
-    def __post_init__(self) -> None:
-        _require_ident(self.name, "process variable")
+    _binds = ProcVar
 
 
 @dataclass(frozen=True)
@@ -228,6 +308,10 @@ class Session(_Shown):
     """A parallel composition of located processes, keyed by participant."""
 
     parts: tuple[tuple[str, "Process"], ...]
+    # The subterms and participant names sit inside the (name, process)
+    # pairs, so a session spells its getters out; it is never rebuilt.
+    _children = staticmethod(lambda m: tuple(p for _, p in m.parts))
+    _roles = staticmethod(lambda m: tuple(r for r, _ in m.parts))
 
     def __post_init__(self) -> None:
         if not self.parts:
@@ -255,10 +339,11 @@ def session(entries: dict[str, "Process"]) -> Session:
 
 
 @dataclass(frozen=True)
-class TBranch:
+class TBranch(_Term):
     label: str
     sort: Sort
     cont: "SessionType"
+    _kids = ("cont",)
 
     def __post_init__(self) -> None:
         _require_ident(self.label, "label")
@@ -279,6 +364,9 @@ class TIn(_Shown):
 
     sender: str
     branches: tuple[TBranch, ...]
+    _kids = ("branches",)
+    _many = True
+    _names = ("sender",)
 
     def __post_init__(self) -> None:
         _require_ident(self.sender, "participant")
@@ -291,34 +379,24 @@ class TOut(_Shown):
 
     receiver: str
     branches: tuple[TBranch, ...]
+    _kids = ("branches",)
+    _many = True
+    _names = ("receiver",)
 
     def __post_init__(self) -> None:
         _require_ident(self.receiver, "participant")
         object.__setattr__(self, "branches", _sorted_branches(self.branches, "union"))
 
 
+class TVar(_Variable):
+    _what = "type variable"
+
+
 @dataclass(frozen=True)
-class TRec(_Shown):
+class TRec(_Mu):
     var: str
     body: "SessionType"
-
-    def __post_init__(self) -> None:
-        _require_ident(self.var, "type variable")
-        binders = {self.var}
-        node: SessionType = self.body
-        while isinstance(node, TRec):
-            binders.add(node.var)
-            node = node.body
-        if isinstance(node, TVar) and node.name in binders:
-            raise UnguardedRecursion(f"mu {self.var} reaches {node.name} unguarded")
-
-
-@dataclass(frozen=True)
-class TVar(_Shown):
-    name: str
-
-    def __post_init__(self) -> None:
-        _require_ident(self.name, "type variable")
+    _binds = TVar
 
 
 @dataclass(frozen=True)
@@ -335,10 +413,11 @@ SessionType = Union[TIn, TOut, TRec, TVar, TEnd]
 
 
 @dataclass(frozen=True)
-class GBranch:
+class GBranch(_Term):
     label: str
     sort: Sort
     cont: "GlobalType"
+    _kids = ("cont",)
 
     def __post_init__(self) -> None:
         _require_ident(self.label, "label")
@@ -349,6 +428,9 @@ class GComm(_Shown):
     sender: str
     receiver: str
     branches: tuple[GBranch, ...]
+    _kids = ("branches",)
+    _many = True
+    _names = ("sender", "receiver")
 
     def __post_init__(self) -> None:
         _require_ident(self.sender, "participant")
@@ -358,28 +440,15 @@ class GComm(_Shown):
         object.__setattr__(self, "branches", _sorted_branches(self.branches, "communication"))
 
 
+class GVar(_Variable):
+    _what = "type variable"
+
+
 @dataclass(frozen=True)
-class GRec(_Shown):
+class GRec(_Mu):
     var: str
     body: "GlobalType"
-
-    def __post_init__(self) -> None:
-        _require_ident(self.var, "type variable")
-        binders = {self.var}
-        node: GlobalType = self.body
-        while isinstance(node, GRec):
-            binders.add(node.var)
-            node = node.body
-        if isinstance(node, GVar) and node.name in binders:
-            raise UnguardedRecursion(f"mu {self.var} reaches {node.name} unguarded")
-
-
-@dataclass(frozen=True)
-class GVar(_Shown):
-    name: str
-
-    def __post_init__(self) -> None:
-        _require_ident(self.name, "type variable")
+    _binds = GVar
 
 
 @dataclass(frozen=True)
@@ -391,117 +460,54 @@ GlobalType = Union[GComm, GRec, GVar, GEnd]
 
 
 # --------------------------------------------------------------------------
-# Free variables and participants
+# The traversal: children, rebuilding, free variables and participants
 # --------------------------------------------------------------------------
 
 
-def free_expr_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset({e.name})
-    if isinstance(e, (NatLit, IntLit, BoolLit)):
-        return frozenset()
-    if isinstance(e, (Succ, Neg, Not)):
-        return free_expr_vars(e.arg)
-    if isinstance(e, (Choice, Gt)):
-        return free_expr_vars(e.left) | free_expr_vars(e.right)
-    raise TypeError(f"not an expression: {e!r}")
+def children(t) -> tuple:
+    """The immediate subterms of t, in field order."""
+    return t._children(t)
 
 
-def free_expr_vars_proc(p: Process) -> frozenset[str]:
-    if isinstance(p, Input):
-        return free_expr_vars_proc(p.body) - {p.var}
-    if isinstance(p, Output):
-        return free_expr_vars(p.payload) | free_expr_vars_proc(p.body)
-    if isinstance(p, ExtChoice):
-        out: frozenset[str] = frozenset()
-        for b in p.branches:
-            out |= free_expr_vars_proc(b)
-        return out
-    if isinstance(p, Cond):
-        return free_expr_vars(p.guard) | free_expr_vars_proc(p.then) | free_expr_vars_proc(p.orelse)
-    if isinstance(p, Rec):
-        return free_expr_vars_proc(p.body)
-    if isinstance(p, (ProcVar, Inact)):
-        return frozenset()
-    raise TypeError(f"not a process: {p!r}")
+def rebuild(t, kids):
+    """t with its children replaced by `kids`; t itself when every new child
+    is the old one, so unchanged subtrees stay shared."""
+    if all(map(is_, kids, children(t))):
+        return t
+    if t._many:
+        return type(t)(*t._fixed(t), tuple(kids))
+    return type(t)(*t._fixed(t), *kids)
 
 
-def free_proc_vars(p: Process) -> frozenset[str]:
-    if isinstance(p, (Input, Output)):
-        return free_proc_vars(p.body)
-    if isinstance(p, ExtChoice):
-        out: frozenset[str] = frozenset()
-        for b in p.branches:
-            out |= free_proc_vars(b)
-        return out
-    if isinstance(p, Cond):
-        return free_proc_vars(p.then) | free_proc_vars(p.orelse)
-    if isinstance(p, Rec):
-        return free_proc_vars(p.body) - {p.var}
-    if isinstance(p, ProcVar):
-        return frozenset({p.name})
-    if isinstance(p, Inact):
-        return frozenset()
-    raise TypeError(f"not a process: {p!r}")
+def _join(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, sharing an operand when the other one is empty."""
+    return a | b if a and b else a or b
 
 
-def free_type_vars(t: "SessionType | GlobalType") -> frozenset[str]:
-    if isinstance(t, (TIn, TOut)):
-        out: frozenset[str] = frozenset()
-        for b in t.branches:
-            out |= free_type_vars(b.cont)
-        return out
-    if isinstance(t, GComm):
-        out = frozenset()
-        for b in t.branches:
-            out |= free_type_vars(b.cont)
-        return out
-    if isinstance(t, (TRec, GRec)):
-        return free_type_vars(t.body) - {t.var}
-    if isinstance(t, (TVar, GVar)):
-        return frozenset({t.name})
-    if isinstance(t, (TEnd, GEnd)):
-        return frozenset()
-    raise TypeError(f"not a type: {t!r}")
+def free_vars(t) -> frozenset:
+    """The free variables of t, as variable nodes (Var, ProcVar, TVar and
+    GVar, so a name free in two categories appears once per category)."""
+    found = t._free
+    if found is None:
+        found = frozenset((t,)) if isinstance(t, _Variable) else frozenset()
+        for c in children(t):
+            found = _join(found, free_vars(c))
+        if t._binds is not None:
+            found -= {t._binds(t.var)}
+        object.__setattr__(t, "_free", found)
+    return found
 
 
 def participants_of(term) -> frozenset[str]:
     """Participants syntactically named by a process, session type, global
     type or session.  Recursion variables contribute nothing."""
-    if isinstance(term, (Input, Output)):
-        return frozenset({term.partner}) | participants_of(term.body)
-    if isinstance(term, ExtChoice):
-        out: frozenset[str] = frozenset()
-        for b in term.branches:
-            out |= participants_of(b)
-        return out
-    if isinstance(term, Cond):
-        return participants_of(term.then) | participants_of(term.orelse)
-    if isinstance(term, (Rec, TRec, GRec)):
-        return participants_of(term.body)
-    if isinstance(term, (ProcVar, Inact, TVar, TEnd, GVar, GEnd)):
-        return frozenset()
-    if isinstance(term, TIn):
-        out = frozenset({term.sender})
-        for b in term.branches:
-            out |= participants_of(b.cont)
-        return out
-    if isinstance(term, TOut):
-        out = frozenset({term.receiver})
-        for b in term.branches:
-            out |= participants_of(b.cont)
-        return out
-    if isinstance(term, GComm):
-        out = frozenset({term.sender, term.receiver})
-        for b in term.branches:
-            out |= participants_of(b.cont)
-        return out
-    if isinstance(term, Session):
-        out = frozenset()
-        for p, proc in term.parts:
-            out |= {p} | participants_of(proc)
-        return out
-    raise TypeError(f"no participants for: {term!r}")
+    found = term._parts
+    if found is None:
+        found = frozenset(term._roles(term))
+        for c in children(term):
+            found = _join(found, participants_of(c))
+        object.__setattr__(term, "_parts", found)
+    return found
 
 
 # --------------------------------------------------------------------------
@@ -518,135 +524,24 @@ def _fresh(base: str, taken: set[str]) -> str:
     return name
 
 
-def subst_expr(e: Expr, name: str, value: Expr) -> Expr:
-    if isinstance(e, Var):
-        return value if e.name == name else e
-    if isinstance(e, (NatLit, IntLit, BoolLit)):
-        return e
-    if isinstance(e, Succ):
-        return Succ(subst_expr(e.arg, name, value))
-    if isinstance(e, Neg):
-        return Neg(subst_expr(e.arg, name, value))
-    if isinstance(e, Not):
-        return Not(subst_expr(e.arg, name, value))
-    if isinstance(e, Choice):
-        return Choice(subst_expr(e.left, name, value), subst_expr(e.right, name, value))
-    if isinstance(e, Gt):
-        return Gt(subst_expr(e.left, name, value), subst_expr(e.right, name, value))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def subst_expr_in_proc(p: Process, name: str, value: Expr) -> Process:
-    """P[value/name].  `value` must be closed (it always is at runtime, where
-    only value literals are substituted), so binders never capture it and
-    shadowing just stops the walk."""
-    if isinstance(p, Input):
-        if p.var == name:
-            return p
-        return Input(p.partner, p.label, p.var, subst_expr_in_proc(p.body, name, value))
-    if isinstance(p, Output):
-        return Output(p.partner, p.label, subst_expr(p.payload, name, value),
-                      subst_expr_in_proc(p.body, name, value))
-    if isinstance(p, ExtChoice):
-        return ExtChoice(tuple(subst_expr_in_proc(b, name, value) for b in p.branches))
-    if isinstance(p, Cond):
-        return Cond(subst_expr(p.guard, name, value),
-                    subst_expr_in_proc(p.then, name, value),
-                    subst_expr_in_proc(p.orelse, name, value))
-    if isinstance(p, Rec):
-        return Rec(p.var, subst_expr_in_proc(p.body, name, value))
-    if isinstance(p, (ProcVar, Inact)):
-        return p
-    raise TypeError(f"not a process: {p!r}")
-
-
-def subst_proc_var(p: Process, name: str, repl: Process) -> Process:
-    """P[repl/name] over process variables, renaming binders that would
-    capture a variable free in `repl`."""
-    free_p = free_proc_vars(repl)
-    free_e = free_expr_vars_proc(repl)
-
-    def go(q: Process) -> Process:
-        if isinstance(q, Input):
-            if q.var in free_e:
-                taken = set(free_e) | set(free_expr_vars_proc(q.body)) | {q.var}
-                fresh = _fresh(q.var, taken)
-                body = subst_expr_in_proc(q.body, q.var, Var(fresh))
-                return Input(q.partner, q.label, fresh, go(body))
-            return Input(q.partner, q.label, q.var, go(q.body))
-        if isinstance(q, Output):
-            return Output(q.partner, q.label, q.payload, go(q.body))
-        if isinstance(q, ExtChoice):
-            return ExtChoice(tuple(go(b) for b in q.branches))
-        if isinstance(q, Cond):
-            return Cond(q.guard, go(q.then), go(q.orelse))
-        if isinstance(q, Rec):
-            if q.var == name:
-                return q
-            if q.var in free_p:
-                taken = set(free_p) | set(free_proc_vars(q.body)) | {q.var, name}
-                fresh = _fresh(q.var, taken)
-                body = subst_proc_var(q.body, q.var, ProcVar(fresh))
-                return Rec(fresh, go(body))
-            return Rec(q.var, go(q.body))
-        if isinstance(q, ProcVar):
-            return repl if q.name == name else q
-        if isinstance(q, Inact):
-            return q
-        raise TypeError(f"not a process: {q!r}")
-
-    return go(p)
-
-
-def subst_type_var(t: SessionType, name: str, repl: SessionType) -> SessionType:
-    free = free_type_vars(repl)
-
-    def go(u: SessionType) -> SessionType:
-        if isinstance(u, TIn):
-            return TIn(u.sender, tuple(TBranch(b.label, b.sort, go(b.cont)) for b in u.branches))
-        if isinstance(u, TOut):
-            return TOut(u.receiver, tuple(TBranch(b.label, b.sort, go(b.cont)) for b in u.branches))
-        if isinstance(u, TRec):
-            if u.var == name:
-                return u
-            if u.var in free:
-                taken = set(free) | set(free_type_vars(u.body)) | {u.var, name}
-                fresh = _fresh(u.var, taken)
-                body = subst_type_var(u.body, u.var, TVar(fresh))
-                return TRec(fresh, go(body))
-            return TRec(u.var, go(u.body))
-        if isinstance(u, TVar):
-            return repl if u.name == name else u
-        if isinstance(u, TEnd):
-            return u
-        raise TypeError(f"not a session type: {u!r}")
-
-    return go(t)
-
-
-def subst_global_var(g: GlobalType, name: str, repl: GlobalType) -> GlobalType:
-    free = free_type_vars(repl)
-
-    def go(u: GlobalType) -> GlobalType:
-        if isinstance(u, GComm):
-            return GComm(u.sender, u.receiver,
-                         tuple(GBranch(b.label, b.sort, go(b.cont)) for b in u.branches))
-        if isinstance(u, GRec):
-            if u.var == name:
-                return u
-            if u.var in free:
-                taken = set(free) | set(free_type_vars(u.body)) | {u.var, name}
-                fresh = _fresh(u.var, taken)
-                body = subst_global_var(u.body, u.var, GVar(fresh))
-                return GRec(fresh, go(body))
-            return GRec(u.var, go(u.body))
-        if isinstance(u, GVar):
-            return repl if u.name == name else u
-        if isinstance(u, GEnd):
-            return u
-        raise TypeError(f"not a global type: {u!r}")
-
-    return go(g)
+def subst(t, var, repl):
+    """t[repl/var] for a variable node `var` (a Var, ProcVar, TVar or GVar),
+    renaming binders that would capture a free variable of `repl`.  Subtrees
+    in which `var` is not free come back unchanged, as the same objects."""
+    if var not in free_vars(t):
+        return t
+    if type(t) is type(var):
+        return repl
+    kind = t._binds
+    if kind is not None and kind(t.var) in free_vars(repl):
+        taken = {v.name for v in free_vars(repl) | free_vars(t.body) | {var}
+                 if type(v) is kind} | {t.var}
+        fresh = _fresh(t.var, taken)
+        t = replace(t, var=fresh, body=subst(t.body, kind(t.var), kind(fresh)))
+    kids = []
+    for c in children(t):
+        kids.append(subst(c, var, repl))
+    return rebuild(t, kids)
 
 
 # --------------------------------------------------------------------------
@@ -657,19 +552,13 @@ def subst_global_var(g: GlobalType, name: str, repl: GlobalType) -> GlobalType:
 def unfold(t):
     """One-step unfolding of a top-level recursion binder; anything else is
     returned unchanged."""
-    if isinstance(t, TRec):
-        return subst_type_var(t.body, t.var, t)
-    if isinstance(t, GRec):
-        return subst_global_var(t.body, t.var, t)
-    if isinstance(t, Rec):
-        return subst_proc_var(t.body, t.var, t)
-    return t
+    return subst(t.body, t._binds(t.var), t) if isinstance(t, _Mu) else t
 
 
 def unfold_spine(t):
     """Unfold until the head is not a recursion binder.  Terminates because
     guardedness rules out mu-chains that feed themselves."""
-    while isinstance(t, (TRec, GRec, Rec)):
+    while isinstance(t, _Mu):
         t = unfold(t)
     return t
 
@@ -714,21 +603,6 @@ def regular_tree_equal(a, b) -> bool:
     return go(a, b)
 
 
-def subterm_closure(t) -> frozenset:
-    """All spine-normalised terms reachable by descending through branches.
-    Finite for any term built here; used for memoisation bounds."""
-    seen: set = set()
-    stack = [t]
-    while stack:
-        node = unfold_spine(stack.pop())
-        if node in seen:
-            continue
-        seen.add(node)
-        if isinstance(node, (TIn, TOut, GComm)):
-            stack.extend(b.cont for b in node.branches)
-    return frozenset(seen)
-
-
 # --------------------------------------------------------------------------
 # Alpha-renaming support
 # --------------------------------------------------------------------------
@@ -737,23 +611,20 @@ def subterm_closure(t) -> frozenset:
 def alpha_uniquify_global(g: GlobalType) -> GlobalType:
     """Rename recursion binders so no binder shadows another or collides with
     a free variable.  Projection relies on binder names being unique."""
-    taken = set(free_type_vars(g))
+    taken = {v.name for v in free_vars(g)}
 
-    def go(u: GlobalType, env: dict[str, str]) -> GlobalType:
-        if isinstance(u, GComm):
-            return GComm(u.sender, u.receiver,
-                         tuple(GBranch(b.label, b.sort, go(b.cont, env)) for b in u.branches))
-        if isinstance(u, GRec):
-            if u.var in taken:
-                fresh = _fresh(u.var, taken)
-            else:
-                fresh = u.var
-                taken.add(fresh)
-            return GRec(fresh, go(u.body, {**env, u.var: fresh}))
+    def go(u, env: dict[str, str]):
         if isinstance(u, GVar):
-            return GVar(env.get(u.name, u.name))
-        if isinstance(u, GEnd):
-            return u
-        raise TypeError(f"not a global type: {u!r}")
+            name = env.get(u.name, u.name)
+            return u if name == u.name else GVar(name)
+        if isinstance(u, GRec):
+            fresh = _fresh(u.var, taken) if u.var in taken else u.var
+            taken.add(fresh)
+            body = go(u.body, {**env, u.var: fresh})
+            return u if fresh == u.var and body is u.body else GRec(fresh, body)
+        kids = []
+        for c in children(u):
+            kids.append(go(c, env))
+        return rebuild(u, kids)
 
     return go(g, {})

@@ -172,7 +172,7 @@ def synthesize_process(gamma: dict, env: dict, p: S.Process,
         fresh = _fresh_tvar(gamma)
         body = synthesize_process({**gamma, p.var: S.TVar(fresh)}, env,
                                   p.body, path)
-        if fresh not in S.free_type_vars(body):
+        if S.TVar(fresh) not in S.free_vars(body):
             return body
         try:
             return S.TRec(fresh, body)

@@ -32,7 +32,7 @@ def gen_type(rng, depth, roles=ROLES, labels=LABELS, allow_rec=True,
         var = f"t{len(tvars)}"
         body = gen_type(rng, depth - 1, roles, labels, allow_rec,
                         {**tvars, var: False})
-        if var in S.free_type_vars(body):
+        if S.TVar(var) in S.free_vars(body):
             return S.TRec(var, body)
         return body
     role = rng.choice(roles)
@@ -83,7 +83,7 @@ def gen_supertype(rng, t, labels=LABELS, budget=12):
         branches.append(S.TBranch(br.label, sort,
                                   gen_supertype(rng, br.cont, labels,
                                                 budget - 1)))
-    closed = not S.free_type_vars(t)
+    closed = not S.free_vars(t)
     present = {br.label for br in branches}
     for lab in labels:
         if closed and lab not in present and rng.random() < 0.2:
@@ -109,7 +109,7 @@ def gen_global(rng, depth, roles=ROLES, labels=LABELS, _tvars=None):
     if kind == "mu":
         var = f"t{len(tvars)}"
         body = gen_global(rng, depth - 1, roles, labels, {**tvars, var: False})
-        if var in S.free_type_vars(body):
+        if S.GVar(var) in S.free_vars(body):
             return S.GRec(var, body)
         return body
     sender, receiver = rng.sample(roles, 2)
@@ -171,7 +171,7 @@ def gen_process(rng, depth, roles=ROLES, labels=LABELS, vars=(),
         var = f"X{len(pvars)}"
         body = gen_process(rng, depth - 1, roles, labels, vars,
                            allow_rec, {**pvars, var: False})
-        if var in S.free_proc_vars(body) and not isinstance(body, S.ProcVar):
+        if S.ProcVar(var) in S.free_vars(body) and not isinstance(body, S.ProcVar):
             return S.Rec(var, body)
         return body
     inner = {v: True for v in pvars}

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import pathlib
+import warnings
 
+import mpst
 from mpst.cli import main
 
 
@@ -373,3 +376,58 @@ class TestUsage:
         code, _, err = invoke()
         assert code == 2
         assert "usage: mpst" in err
+
+
+class TestMalformedInput:
+    def parse_file(self, tmp_path, name, text):
+        source = tmp_path / name
+        source.write_text(text)
+        return invoke("parse", str(source))
+
+    def test_duplicate_label_is_usage_error(self, tmp_path):
+        code, out, err = self.parse_file(tmp_path, "dup.mpst",
+                                         "p?l(nat).end & p?l(int).end")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: DuplicateLabel: ")
+
+    def test_unguarded_recursion_is_usage_error(self, tmp_path):
+        code, _, err = self.parse_file(tmp_path, "loop.mpst", "mu t.t")
+        assert code == 2
+        assert err.startswith("error: UnguardedRecursion: ")
+
+    def test_self_communication_is_usage_error(self, tmp_path):
+        code, _, err = self.parse_file(tmp_path, "self.gt",
+                                       "p -> p : l(nat).end")
+        assert code == 2
+        assert err.startswith("error: SelfCommunication: ")
+
+    def test_session_error_beats_the_process_fallback(self, tmp_path):
+        code, _, err = self.parse_file(tmp_path, "twice.mps",
+                                       "@p q!l(1).0 || @p 0")
+        assert code == 2
+        assert "participant 'p' listed twice" in err
+        assert "expected a process" not in err
+
+    def test_process_error_beats_the_session_fallback(self, tmp_path):
+        code, _, err = self.parse_file(tmp_path, "proc.mps", "q!l(1).")
+        assert code == 2
+        assert err == "error: 1:8: expected a process, got 'end of input'\n"
+
+    def test_deep_input_is_usage_error(self, tmp_path):
+        source = tmp_path / "deep.mpst"
+        source.write_text("p!l(nat)." * 10_000 + "end")
+        for argv in (("parse", str(source)),
+                     ("subtype", str(source), str(source))):
+            code, out, err = invoke(*argv)
+            assert code == 2
+            assert out == ""
+            assert err == "error: input nests too deeply\n"
+
+
+def test_every_module_compiles_with_warnings_as_errors():
+    package = pathlib.Path(mpst.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile(path.read_text(), str(path), "exec")

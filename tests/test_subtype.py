@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import gen
-from conftest import fixture_text
+from conftest import fixture_text, subterm_closure
 from mpst import (
     InternalError,
     NotDerivable,
@@ -16,8 +16,6 @@ from mpst import (
     nsub,
     parse_session_type,
     sub,
-    sub_stats,
-    subterm_closure,
     unfold,
 )
 from mpst import syntax as S
@@ -106,11 +104,25 @@ class TestSub:
             assert sub(a, c)
 
     def test_memo_stays_within_the_closure_product(self):
+        sizes = []
+
+        def tracer(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "_sub":
+                sizes.append(len(frame.f_locals["theta"]))
+            return None
+
         rng = random.Random(405)
         for _ in range(200):
             a = gen.gen_type(rng, 4)
             b = gen.gen_type(rng, 4)
-            ok, peak = sub_stats(a, b)
+            sizes.clear()
+            old = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                ok = sub(a, b)
+            finally:
+                sys.settrace(old)
+            peak = max(sizes)
             assert ok == sub(a, b)
             assert peak <= len(subterm_closure(a)) * len(subterm_closure(b))
 
@@ -205,8 +217,7 @@ class TestDecide:
         entered = []
 
         def tracer(frame, event, arg):
-            if event == "call" and frame.f_code.co_name in ("sub", "_sub",
-                                                            "sub_stats"):
+            if event == "call" and frame.f_code.co_name in ("sub", "_sub"):
                 entered.append(frame.f_code.co_name)
             return None
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import gen
+from conftest import subterm_closure
 from mpst import (
     DuplicateLabel,
     ParseError,
@@ -27,15 +28,13 @@ from mpst import (
     participants_of,
     regular_tree_equal,
     show,
-    subterm_closure,
     unfold,
 )
 from mpst import syntax as S
 from mpst.syntax import (
     ext_choice,
-    free_proc_vars,
-    free_type_vars,
-    subst_expr_in_proc,
+    free_vars,
+    subst,
     unfold_spine,
 )
 
@@ -235,43 +234,34 @@ class TestHelpers:
         assert len(closure) == 2
 
     def test_free_variables(self):
-        assert free_type_vars(parse_session_type("mu a.p!l(nat).b")) == frozenset({"b"})
-        assert free_proc_vars(parse_process("mu X.q!l(1).Y")) == frozenset({"Y"})
+        assert free_vars(parse_session_type("mu a.p!l(nat).b")) == frozenset({TVar("b")})
+        assert free_vars(parse_process("mu X.q!l(1).Y")) == frozenset({S.ProcVar("Y")})
 
     def test_substitution_stops_at_shadowing_binder(self):
         p = parse_process("q!l(x).q?x1(x).q!l(x).0")
-        q = subst_expr_in_proc(p, "x", S.NatLit(7))
+        q = subst(p, S.Var("x"), S.NatLit(7))
         assert show(q) == "q!l(7).q?x1(x).q!l(x).0"
-
-
-def substitute(term, var, repl):
-    """term[repl/var] for a variable node var."""
-    if isinstance(var, S.ProcVar):
-        return S.subst_proc_var(term, var.name, repl)
-    if isinstance(var, S.TVar):
-        return S.subst_type_var(term, var.name, repl)
-    return S.subst_global_var(term, var.name, repl)
 
 
 class TestCaptureAvoidingRenaming:
     def test_process_binder_renamed_away_from_a_free_variable(self):
         p = parse_process("mu Y.q!l(1).X")
-        assert show(substitute(p, S.ProcVar("X"), S.ProcVar("Y"))) == (
+        assert show(subst(p, S.ProcVar("X"), S.ProcVar("Y"))) == (
             "mu Y_1.q!l(1).Y")
 
     def test_input_binder_renamed_away_from_a_free_expression_variable(self):
         p = parse_process("q?l(x).X")
         repl = parse_process("q!l(x).0")
-        assert show(substitute(p, S.ProcVar("X"), repl)) == (
+        assert show(subst(p, S.ProcVar("X"), repl)) == (
             "q?l(x_1).q!l(x).0")
 
     def test_type_binder_renamed_away_from_a_free_variable(self):
         t = parse_session_type("mu u.p!l(nat).t")
-        assert show(substitute(t, TVar("t"), TVar("u"))) == "mu u_1.p!l(nat).u"
+        assert show(subst(t, TVar("t"), TVar("u"))) == "mu u_1.p!l(nat).u"
 
     def test_global_binder_renamed_away_from_a_free_variable(self):
         g = parse_global_type("mu u.p -> q : l(nat).t")
-        assert show(substitute(g, S.GVar("t"), S.GVar("u"))) == (
+        assert show(subst(g, S.GVar("t"), S.GVar("u"))) == (
             "mu u_1.p -> q : l(nat).u")
 
     def test_uniquify_renames_only_the_shadowing_binder(self):

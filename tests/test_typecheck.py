@@ -21,7 +21,7 @@ from mpst import (
     synthesize_process,
 )
 from mpst import syntax as S
-from mpst.syntax import subst_expr_in_proc
+from mpst.syntax import subst
 
 P = parse_process
 T = parse_session_type
@@ -198,7 +198,7 @@ class TestSynthesize:
                     t = synthesize_process({}, {"x": s}, p)
                 except TypingError:
                     continue
-                q = subst_expr_in_proc(p, "x", lits[s])
+                q = subst(p, S.Var("x"), lits[s])
                 check_process({}, {}, q, t)
                 ok += 1
                 break
