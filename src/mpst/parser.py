@@ -21,7 +21,8 @@ after '.' is a single item; parenthesise sums, conditionals and recursions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from . import syntax as S
 from .errors import ParseError
@@ -31,14 +32,17 @@ _KEYWORDS = {
     "true", "false", "succ", "neg", "not",
 }
 
-_SYMBOLS = ["(+)", "->", "||", "\\/", "?", "!", ".", "&", "+", ">",
-            "{", "}", "(", ")", ",", ":", "@"]
+# One alternative per token class; whitespace and comments match no group.
+_TOKEN = re.compile(r"""
+    (?P<nl>\n) | [ \t\r]+ | \#[^\n]*
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*) | (?P<num>-?[0-9]+)
+  | (?P<sym>\(\+\)|->|\|\||\\/|[?!.&+>{}(),:@]) | (?P<bad>.)
+""", re.VERBOSE)
 
 _SORTS = {"nat": S.Sort.NAT, "int": S.Sort.INT, "bool": S.Sort.BOOL}
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # ident | kw | num | sym | eof
     text: str
     line: int
@@ -47,46 +51,21 @@ class _Tok:
 
 def _tokenize(src: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
             continue
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            toks.append(_Tok("kw" if word in _KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and src[i + 1].isdigit()):
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(_Tok("num", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(_Tok("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+        text, col = m.group(), m.start() - line_start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        if kind == "ident" and text in _KEYWORDS:
+            kind = "kw"
+        toks.append(_Tok(kind, text, line, col))
+    toks.append(_Tok("eof", "", line, len(src) - line_start + 1))
     return toks
 
 
@@ -171,7 +150,10 @@ class _Parser:
         t = self.peek()
         if t.kind == "num":
             self.next()
-            return S.int_literal(int(t.text))
+            try:
+                return S.int_literal(int(t.text))
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ParseError("number too long", t.line, t.col) from None
         if t.kind == "kw" and t.text in ("true", "false"):
             self.next()
             return S.BoolLit(t.text == "true")

@@ -4,10 +4,16 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 import warnings
+from importlib import resources
+
+import pytest
 
 import mpst
+from mpst import cli
 from mpst.cli import main
+from mpst.errors import InternalError
 
 
 def invoke(*argv):
@@ -423,6 +429,129 @@ class TestMalformedInput:
             assert code == 2
             assert out == ""
             assert err == "error: input nests too deeply\n"
+
+
+    @pytest.mark.parametrize("name, text, argv, message", [
+        ("letter.mpst", "pé!l(nat).end", ("parse",),
+         "1:2: unexpected character 'é'"),
+        ("super.mps", "q!l(²).0", ("parse",),
+         "1:5: unexpected character '²'"),
+        ("digit.mps", "@p q!l(٣).0 || @q p?l(x).0", ("run",),
+         "1:8: unexpected character '٣'"),
+    ])
+    def test_non_ascii_is_usage_error(self, tmp_path, name, text, argv,
+                                      message):
+        source = tmp_path / name
+        source.write_text(text)
+        code, out, err = invoke(*argv, str(source))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_overlong_number_is_usage_error(self, tmp_path):
+        code, _, err = self.parse_file(tmp_path, "big.mps",
+                                       "q!l(" + "1" * 5000 + ").0")
+        assert code == 2
+        assert err == "error: 1:5: number too long\n"
+
+    def test_undecodable_file_is_usage_error(self, tmp_path):
+        source = tmp_path / "binary.mpst"
+        source.write_bytes(b"\xff\xfe\x00")
+        code, out, err = invoke("parse", str(source))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {source}: ")
+
+    @pytest.mark.parametrize("command", ["subtype", "precise"])
+    def test_open_type_is_usage_error(self, tmp_path, command):
+        source = tmp_path / "open.mpst"
+        source.write_text("p?l(nat).en")
+        closed = tmp_path / "closed.mpst"
+        closed.write_text("p?l(nat).end")
+        code, out, err = invoke(command, str(closed), str(source))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {source}: open session type,"
+                       f" unbound variable 'en'\n")
+
+    @pytest.mark.parametrize("argv", [("parse",), ("char-proc",),
+                                      ("char-global", "fresh")])
+    def test_open_type_is_accepted_elsewhere(self, tmp_path, argv):
+        source = tmp_path / "open.mpst"
+        source.write_text("p?l(nat).en")
+        code, _, err = invoke(argv[0], str(source), *argv[1:])
+        assert code == 0
+        assert err == ""
+
+
+class TestJsonErrors:
+    def test_malformed_input_writes_error_document(self, tmp_path):
+        source = tmp_path / "bad.mpst"
+        source.write_text("p?l(nat).")
+        code, payload, err = invoke_json("parse", str(source))
+        message = "1:10: expected a session type, got 'end of input'"
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert payload == {"command": "parse", "verdict": "error",
+                           "witness": {"message": message}}
+
+    def test_library_error_writes_error_document(self, monkeypatch):
+        def broken(a, b):
+            raise InternalError("boom")
+
+        monkeypatch.setattr(cli, "decide", broken)
+        code, payload, err = invoke_json(
+            "subtype", "fixtures/sec5_nat.mpst", "fixtures/sec5_int.mpst")
+        assert code == 1
+        assert err == "error: InternalError: boom\n"
+        assert payload == {"command": "subtype", "verdict": "error",
+                           "witness": {"message": "InternalError: boom"}}
+
+    def test_argument_errors_write_no_document(self):
+        code, out, err = invoke("--json", "subtype", "fixtures/sec5_nat.mpst")
+        assert code == 2
+        assert out == ""
+        assert "the following arguments are required: right" in err
+
+
+# Characters the grammar is made of, plus non-ASCII letters and digits.
+FUZZ_ALPHABET = list("?!.&+>{}(),:@#-|\\/ \n_019lpqrxXt") + ["é", "²", "٣"]
+
+
+def mutate(rng, text):
+    """Insert, delete or replace one to three characters of text."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3)
+        if op == 0 or i == len(chars):
+            chars.insert(i, rng.choice(FUZZ_ALPHABET))
+        elif op == 1:
+            del chars[i]
+        else:
+            chars[i] = rng.choice(FUZZ_ALPHABET)
+    return "".join(chars)
+
+
+def test_mutated_fixtures_end_in_a_documented_exit_code(tmp_path):
+    rng = random.Random(20160615)
+    fixtures = sorted(resources.files("mpst").joinpath("fixtures").iterdir(),
+                      key=lambda f: f.name)
+    for k in range(300):
+        fixture = rng.choice(fixtures)
+        mutant = tmp_path / f"m{k}{pathlib.Path(fixture.name).suffix}"
+        mutant.write_text(mutate(rng, fixture.read_text()))
+        m, original = str(mutant), f"fixtures/{fixture.name}"
+        for argv in (("parse", m), ("subtype", m, original),
+                     ("precise", m, original, "--fuel", "200"),
+                     ("stuck", m, "--fuel", "200"), ("run", m, "--fuel", "50"),
+                     ("project", m, "p")):
+            try:
+                code, _, err = invoke(*argv)
+            except Exception as e:
+                pytest.fail(f"{argv[0]} on {mutant.read_text()!r} raised {e!r}")
+            assert code in (0, 1, 2), (argv[0], mutant.read_text())
+            assert "InternalError" not in err, (argv[0], mutant.read_text())
 
 
 def test_every_module_compiles_with_warnings_as_errors():
