@@ -23,6 +23,7 @@ from .errors import (
     MergeUndefined,
     MpstError,
     NotDerivable,
+    NumberTooLong,
     ParseError,
     ParticipantClash,
     ProjectionError,

@@ -151,6 +151,7 @@ class PrecisenessReport:
     trace: the witness trace (stuck run for nleq).
     derivation: the refutation tree for nleq pairs.
     stuck_state: the stuck session for confirmed nleq pairs.
+    session: the counterexample session searched, for nleq pairs.
     """
 
     relation: str
@@ -159,6 +160,7 @@ class PrecisenessReport:
     trace: tuple[Step, ...] = ()
     derivation: NsubDerivation | None = None
     stuck_state: S.Session | None = None
+    session: S.Session | None = None
 
 
 def preciseness_check(t: S.SessionType, tp: S.SessionType,
@@ -195,13 +197,13 @@ def preciseness_check(t: S.SessionType, tp: S.SessionType,
         return PrecisenessReport(
             "nleq", True,
             f"counterexample session got stuck after {len(report.trace)} "
-            "steps", report.trace, verdict.derivation, report.state)
+            "steps", report.trace, verdict.derivation, report.state, session)
     if report.verdict == "diverged":
         return PrecisenessReport(
             "nleq", None,
             f"fuel exhausted after {report.explored} states without "
-            "finding the stuck state", (), verdict.derivation)
+            "finding the stuck state", (), verdict.derivation, None, session)
     return PrecisenessReport(
         "nleq", False,
         f"completeness violated: counterexample session reported "
-        f"{report.verdict}", (), verdict.derivation)
+        f"{report.verdict}", (), verdict.derivation, None, session)

@@ -10,8 +10,8 @@ defined, terminated or safe), 1 for negative verdicts (refutation found, ill
 typed, stuck, fuel exhausted), 2 for usage errors and malformed input: parse
 errors (identifiers and numbers are ASCII), ill-formed terms (duplicate
 labels, self-communication, unguarded recursion), open session types given
-to subtype or precise, and input that nests too deeply for the recursive
-procedures.
+to subtype or precise, input that nests too deeply for the recursive
+procedures, and runs that compute a number too long to print.
 
 `--json` renders the report as one JSON document with fields command,
 verdict, witness, timings; everything except timings is stable across runs.
@@ -32,11 +32,10 @@ import sys
 import time
 from importlib import resources
 
-from .characteristic import char_global, char_proc, counterexample_session, \
-    preciseness_check
-from .errors import DuplicateLabel, FuelMisuse, MpstError, ParseError, \
-    ParticipantClash, ProjectionError, SelfCommunication, TypingError, \
-    UnguardedRecursion
+from .characteristic import char_global, char_proc, preciseness_check
+from .errors import DuplicateLabel, FuelMisuse, MpstError, NumberTooLong, \
+    ParseError, ParticipantClash, ProjectionError, SelfCommunication, \
+    TypingError, UnguardedRecursion
 from .global_types import project
 from .parser import parse, parse_process, parse_session
 from .runtime import run as run_session, stuck_search
@@ -182,8 +181,7 @@ def _stuck(args):
 
 
 def _precise(args):
-    t, tp = args.left, args.right
-    report = preciseness_check(t, tp, args.fuel)
+    report = preciseness_check(args.left, args.right, args.fuel)
     verdict = "inconclusive" if report.ok is None else report.relation
     witness = {
         "relation": report.relation,
@@ -192,8 +190,7 @@ def _precise(args):
         "trace": [step.line for step in report.trace],
         "derivation": (_derivation_dict(report.derivation)
                        if report.derivation else None),
-        "session": str(counterexample_session(t, tp))
-                   if report.relation == "nleq" else None,
+        "session": str(report.session) if report.session is not None else None,
     }
     lines = [f"{report.relation}: {report.detail}"]
     if report.derivation is not None:
@@ -262,7 +259,8 @@ def _failure(e: Exception) -> tuple[str, int]:
     """The message after "error: " and the exit code for a failed command."""
     if isinstance(e, RecursionError):
         return "input nests too deeply", 2
-    if isinstance(e, (_Usage, ParseError, FuelMisuse, ParticipantClash)):
+    if isinstance(e, (_Usage, ParseError, FuelMisuse, ParticipantClash,
+                      NumberTooLong)):
         return str(e), 2
     ill_formed = (DuplicateLabel, SelfCommunication, UnguardedRecursion)
     return f"{type(e).__name__}: {e}", 2 if isinstance(e, ill_formed) else 1

@@ -68,6 +68,11 @@ class ParticipantClash(MpstError):
     """A characteristic construction was asked to reuse an existing participant."""
 
 
+class NumberTooLong(MpstError, ValueError):
+    """A number computed at run time has more digits than Python converts
+    to text (sys.get_int_max_str_digits())."""
+
+
 class FuelMisuse(MpstError):
     """A search was started with a non-positive fuel budget."""
 

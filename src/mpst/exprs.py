@@ -15,6 +15,7 @@ from typing import Union
 
 from . import syntax as S
 from .errors import TypingError
+from .printer import show_int
 
 # --------------------------------------------------------------------------
 # Values.  Numbers carry the minimal sort: non-negative integers are NatVal.
@@ -30,7 +31,7 @@ class NatVal:
             raise ValueError("NatVal must be non-negative")
 
     def __str__(self) -> str:
-        return str(self.value)
+        return show_int(self.value)
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class IntVal:
     value: int
 
     def __str__(self) -> str:
-        return str(self.value)
+        return show_int(self.value)
 
 
 @dataclass(frozen=True)

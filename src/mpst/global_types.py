@@ -69,7 +69,11 @@ def merge(a: S.SessionType, b: S.SessionType) -> S.SessionType:
 
 def project(g: S.GlobalType, role: str) -> S.SessionType:
     """Project `g` onto `role`; raises ProjectionError when undefined."""
-    g = S.alpha_uniquify_global(g)
+    return _project(S.alpha_uniquify_global(g), role)
+
+
+def _project(g: S.GlobalType, role: str) -> S.SessionType:
+    """Projection of a global type whose binders are unique."""
     pending: dict[str, list[tuple[S.SessionType, tuple[str, ...]]]] = {}
 
     def go(u: S.GlobalType, path: tuple[str, ...]) -> S.SessionType:
@@ -139,7 +143,8 @@ def project(g: S.GlobalType, role: str) -> S.SessionType:
 
 def project_all(g: S.GlobalType) -> dict[str, S.SessionType]:
     """Projections onto every participant of `g`."""
-    return {p: project(g, p) for p in sorted(S.participants_of(g))}
+    g = S.alpha_uniquify_global(g)
+    return {p: _project(g, p) for p in sorted(S.participants_of(g))}
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+
 from . import syntax as S
+from .errors import NumberTooLong
 
 # Expression precedence levels: 0 comparison, 1 choice, 2 prefix, 3 atom.
 
@@ -11,7 +14,7 @@ def show_expr(e: S.Expr, level: int = 0) -> str:
     if isinstance(e, S.Var):
         return e.name
     if isinstance(e, (S.NatLit, S.IntLit)):
-        return str(e.value)
+        return show_int(e.value)
     if isinstance(e, S.BoolLit):
         return "true" if e.value else "false"
     if isinstance(e, S.Succ):
@@ -25,6 +28,16 @@ def show_expr(e: S.Expr, level: int = 0) -> str:
     if isinstance(e, S.Gt):
         return _wrap(f"{show_expr(e.left, 1)} > {show_expr(e.right, 1)}", 0, level)
     raise TypeError(f"not an expression: {e!r}")
+
+
+def show_int(n: int) -> str:
+    """n in decimal; NumberTooLong when it has more digits than Python
+    converts to text (a run can compute succ of the longest literal)."""
+    try:
+        return str(n)
+    except ValueError:
+        raise NumberTooLong(f"number too long to print: more than "
+                            f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _wrap(text: str, have: int, need: int) -> str:

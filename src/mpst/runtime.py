@@ -4,7 +4,10 @@ States are kept in a congruence-canonical form: recursion at the head of a
 process is unfolded, external choices are flattened and their summands sorted
 by printed form, terminated participants are dropped, and a lone sentinel
 entry stands in when everyone has terminated.  Two congruent sessions map to
-the same canonical state, which is what lets the search deduplicate.
+the same canonical state, which is what lets the search deduplicate.  The
+search canonicalises its start state once; after that a successor
+re-canonicalises only the entries its step changed and keeps the others,
+which are canonical already.
 
 Reduction follows the synchronous rules literally: a communication fires only
 when the sender's entire process is an output and the receiver's is an input
@@ -67,17 +70,21 @@ def _canon_proc(p: S.Process) -> S.Process:
     return p
 
 
+def _state(kept, changed) -> S.Session:
+    """The canonical session of the canonical entries `kept` and the
+    entries `changed`, which are canonicalised here: terminated ones drop
+    out, and the sentinel stands in when no entry is left."""
+    entries = list(kept)
+    for role, proc in changed:
+        cp = _canon_proc(proc)
+        if not isinstance(cp, S.Inact):
+            entries.append((role, cp))
+    return S.Session(tuple(entries) or (("_", S.Inact()),))
+
+
 def canonicalize(m: S.Session) -> S.Session:
     """Normal form under structural congruence."""
-    entries = []
-    for role, proc in m.parts:
-        cp = _canon_proc(proc)
-        if isinstance(cp, S.Inact):
-            continue
-        entries.append((role, cp))
-    if not entries:
-        entries = [("_", S.Inact())]
-    return S.Session(tuple(entries))
+    return _state((), m.parts)
 
 
 def is_terminated(m: S.Session) -> bool:
@@ -101,13 +108,17 @@ def _input_offers(p: S.Process):
 
 def step_all(m: S.Session) -> list[tuple[Step, S.Session]]:
     """Every one-step successor of the canonical form of m."""
-    m = canonicalize(m)
+    return _successors(canonicalize(m))
+
+
+def _successors(m: S.Session) -> list[tuple[Step, S.Session]]:
+    """Every one-step successor of the canonical state m."""
     mapping = dict(m.parts)
     out: list[tuple[Step, S.Session]] = []
 
     def successor(changes: dict) -> S.Session:
-        entries = tuple((r, changes.get(r, p)) for r, p in m.parts)
-        return canonicalize(S.Session(entries))
+        kept = [(r, p) for r, p in m.parts if r not in changes]
+        return _state(kept, changes.items())
 
     for role, proc in m.parts:
         if isinstance(proc, S.Cond):
@@ -165,7 +176,7 @@ def stuck_search(m: S.Session, fuel: int) -> StuckReport:
         if is_terminated(state):
             edges[state] = []
             continue
-        succs = step_all(state)
+        succs = _successors(state)
         if not succs:
             return StuckReport("stuckFound", _trace_to(parents, state),
                                state, explored)
@@ -228,7 +239,7 @@ def run(m: S.Session, fuel: int) -> StuckReport:
     for _ in range(fuel):
         if is_terminated(state):
             return StuckReport("terminated", tuple(steps), state, len(steps))
-        succs = step_all(state)
+        succs = _successors(state)
         if not succs:
             return StuckReport("stuckFound", tuple(steps), state, len(steps))
         step, state = min(succs, key=lambda sn: sn[0].line)

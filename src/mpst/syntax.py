@@ -3,8 +3,9 @@
 Five term categories live here: expressions, processes, multiparty sessions,
 session types and global types.  Every node is a frozen dataclass with
 structural equality and hashing, so terms can be memoised and used as dict
-keys freely.  Constructors enforce the well-formedness conditions the rest of
-the package relies on:
+keys freely.  A node hashes its fields once and caches the result, so that
+hashing it again is one lookup, whatever its depth.  Constructors enforce
+the well-formedness conditions the rest of the package relies on:
 
   * branch lists are non-empty, label-distinct and kept sorted by label;
   * recursion is guarded (the bound variable cannot be reached from the
@@ -57,6 +58,20 @@ def _getter(names: tuple[str, ...]):
     return attrgetter(*names)
 
 
+def _cached_hash(key):
+    """A __hash__ that hashes `key(node)` on the first call and then
+    returns the cached value."""
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(key(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    return __hash__
+
+
 class _Term:
     """Base of every term node.  Each class declares its shape once:
 
@@ -71,6 +86,13 @@ class _Term:
     equality, hashing and repr never see them.  They are stored with
     object.__setattr__, never through `__dict__`: materialising an
     instance dict slows every later attribute read, and so hashing.
+
+    The structural hash is one of those facts: every class with fields gets
+    a `__hash__` that hashes the tuple of its fields once and caches the
+    result in `_hash`.  @dataclass keeps a `__hash__` it finds in the
+    class's own namespace, and this hook runs before the decorator.  All
+    fields are set by the time `__post_init__` returns, so the cached hash
+    never goes stale.
     """
 
     _kids: tuple[str, ...] = ()
@@ -78,12 +100,15 @@ class _Term:
     _names: tuple[str, ...] = ()
     _binds: type | None = None
     _fixed = _children = _roles = staticmethod(lambda t: ())
-    _free = _parts = None  # cached by free_vars and participants_of
+    _free = _parts = _hash = None  # cached by free_vars, participants_of, hash
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         fields = tuple(vars(cls).get("__annotations__", ()))
-        if not fields or "_children" in vars(cls):  # a base, or Session
+        if not fields:  # a base
+            return
+        cls.__hash__ = _cached_hash(_getter(fields))
+        if "_children" in vars(cls):  # Session
             return
         cut = len(fields) - len(cls._kids)
         assert fields[cut:] == cls._kids, f"{cls.__name__}: kids must come last"
@@ -91,6 +116,11 @@ class _Term:
         cls._children = staticmethod(
             attrgetter(cls._kids[0]) if cls._many else _getter(cls._kids))
         cls._roles = staticmethod(_getter(cls._names))
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between interpreters, so a pickled or copied
+        # term leaves its cached hash behind.
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
 
 
 class _Shown(_Term):

@@ -10,6 +10,7 @@ from importlib import resources
 
 import pytest
 
+from conftest import fixture_text
 import mpst
 from mpst import cli
 from mpst.cli import main
@@ -369,6 +370,9 @@ class TestCharacteristic:
         assert witness["trace"] == []
         assert witness["derivation"]["rule"] == "nsub-diff-part"
         assert witness["session"].startswith("@_c0 p1!l1(5).p2!l2(5).0 || ")
+        t, tp = (mpst.parse_session_type(fixture_text(name))
+                 for name in ("ex2_T.mpst", "ex2_Tp.mpst"))
+        assert witness["session"] == str(mpst.counterexample_session(t, tp))
 
 
 class TestUsage:
@@ -453,6 +457,19 @@ class TestMalformedInput:
                                        "q!l(" + "1" * 5000 + ").0")
         assert code == 2
         assert err == "error: 1:5: number too long\n"
+
+    @pytest.mark.parametrize("command", ["run", "stuck"])
+    def test_value_too_long_to_print_is_usage_error(self, tmp_path, command):
+        source = tmp_path / "huge.mps"
+        source.write_text(f"@p q!l(succ {'9' * 4300}).0 || @q p?l(x).0")
+        message = "number too long to print: more than 4300 digits"
+        code, out, err = invoke(command, str(source))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, payload, err = invoke_json(command, str(source))
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert payload == {"command": command, "verdict": "error",
+                           "witness": {"message": message}}
 
     def test_undecodable_file_is_usage_error(self, tmp_path):
         source = tmp_path / "binary.mpst"

@@ -48,6 +48,27 @@ class TestProjection:
         assert set(views) == {"p", "q", "r"}
         assert views["r"] == project(g, "r")
 
+    def test_project_all_agrees_with_project_per_role(self):
+        rng = random.Random(302)
+        shadowing = parse_global_type(
+            "mu t.p -> q : { a(nat).mu t.q -> p : l(nat).t, b(nat).t }")
+        undefined = 0
+        for g in [shadowing] + [gen.gen_global(rng, 3) for _ in range(300)]:
+            expected, first_error = {}, None
+            for role in sorted(participants_of(g)):
+                try:
+                    expected[role] = project(g, role)
+                except ProjectionError as e:
+                    first_error = first_error or e
+            if first_error is None:
+                assert project_all(g) == expected
+                continue
+            undefined += 1
+            with pytest.raises(ProjectionError) as exc:
+                project_all(g)
+            assert str(exc.value) == str(first_error)
+        assert undefined >= 30
+
     def test_absent_participant_projects_to_end(self):
         g = load_global("sec3_global.gt")
         assert show(project(g, "z")) == "end"

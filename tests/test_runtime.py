@@ -1,5 +1,8 @@
 """The synchronous interpreter: stepping, runs, and the stuck-state search."""
 
+import gzip
+import json
+import pathlib
 import random
 
 import pytest
@@ -7,16 +10,27 @@ import pytest
 import gen
 from conftest import fixture_text
 from mpst import (
+    BoolVal,
     FuelMisuse,
+    ProjectionError,
     Session,
+    Step,
     canonicalize,
+    char_proc,
+    counterexample_session,
+    eval_all,
     is_terminated,
     parse_session,
+    parse_session_type,
+    project_all,
     run,
     show,
     step_all,
     stuck_search,
 )
+from mpst import syntax as S
+from mpst.exprs import value_to_expr
+from mpst.runtime import _input_offers
 
 M = parse_session
 
@@ -183,3 +197,132 @@ class TestStuckSearch:
                 assert report.state is None
         assert verdicts["stuckFound"] >= 100
         assert verdicts["terminated"] >= 2
+
+
+def reference_step_all(m):
+    """Successors as first written: apply a step's changes to every entry
+    of the canonical state and canonicalise the whole session again."""
+    m = canonicalize(m)
+    mapping = dict(m.parts)
+    out = []
+
+    def successor(changes):
+        entries = tuple((r, changes.get(r, p)) for r, p in m.parts)
+        return canonicalize(Session(entries))
+
+    for role, proc in m.parts:
+        if isinstance(proc, S.Cond):
+            for v in sorted(eval_all(proc.guard), key=str):
+                if not isinstance(v, BoolVal):
+                    continue
+                branch = proc.then if v.value else proc.orelse
+                rule = "t-conditional" if v.value else "f-conditional"
+                step = Step(rule, f"{role} --if({v})--> {role}",
+                            source=role, target=role, value=v)
+                out.append((step, successor({role: branch})))
+        elif isinstance(proc, S.Output):
+            receiver = mapping.get(proc.partner)
+            offers = None if receiver is None else _input_offers(receiver)
+            if offers is None or offers[0] != role:
+                continue
+            summand = offers[1].get(proc.label)
+            if summand is None:
+                continue
+            for v in sorted(eval_all(proc.payload), key=str):
+                body = S.subst(summand.body, S.Var(summand.var),
+                               value_to_expr(v))
+                step = Step("r-comm",
+                            f"{role} --{proc.label}({v})--> {proc.partner}",
+                            source=role, target=proc.partner,
+                            label=proc.label, value=v)
+                out.append((step, successor({role: proc.body,
+                                             proc.partner: body})))
+    return out
+
+
+def random_sessions(rng, count):
+    """Sessions of random processes, and the characteristic sessions of
+    random projectable global types, which run for longer."""
+    roles = ("a1", "a2", "a3")
+    while count:
+        m = Session(tuple(
+            (r, gen.gen_process(rng, 3, roles=tuple(x for x in roles if x != r)))
+            for r in roles))
+        yield m
+        try:
+            views = project_all(gen.gen_global(rng, 3))
+        except ProjectionError:
+            continue
+        if views:
+            yield Session(tuple((r, char_proc(t)) for r, t in views.items()))
+        count -= 1
+
+
+def test_successors_match_whole_session_canonicalisation():
+    compared = 0
+    for m in random_sessions(random.Random(4242), 100):
+        seen = {canonicalize(m)}
+        frontier = [m]
+        while frontier and len(seen) < 60:
+            state = frontier.pop()
+            got = step_all(state)
+            assert got == reference_step_all(state)
+            compared += 1
+            for _, nxt in got:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    assert compared >= 500
+
+
+# The first item of each of the 24 strata of the benchmark's explore pool
+# (ranked by kind, then state bound, as the explore workload cuts it) and
+# its (verdict, explored, trace length) under stuck_search with fuel 10000.
+EXPLORE_POOL = (pathlib.Path(__file__).parents[1]
+                / "bench" / "data" / "explore.jsonl.gz")
+EXPLORE_GOLDEN = [
+    ("noStuckWithinFuel", 48, 0),
+    ("terminated", 90, 0),
+    ("terminated", 102, 0),
+    ("terminated", 108, 0),
+    ("noStuckWithinFuel", 114, 0),
+    ("terminated", 120, 0),
+    ("terminated", 125, 0),
+    ("terminated", 126, 0),
+    ("terminated", 135, 0),
+    ("terminated", 144, 0),
+    ("noStuckWithinFuel", 150, 0),
+    ("terminated", 156, 0),
+    ("noStuckWithinFuel", 168, 0),
+    ("terminated", 175, 0),
+    ("terminated", 180, 0),
+    ("terminated", 198, 0),
+    ("terminated", 210, 0),
+    ("noStuckWithinFuel", 225, 0),
+    ("stuckFound", 11, 6),
+    ("stuckFound", 21, 5),
+    ("stuckFound", 21, 5),
+    ("stuckFound", 51, 9),
+    ("stuckFound", 66, 8),
+    ("stuckFound", 93, 8),
+]
+
+
+def test_stuck_search_counts_on_the_explore_pool():
+    with gzip.open(EXPLORE_POOL, "rt", encoding="utf-8") as f:
+        pool = [json.loads(line) for line in f]
+    ranked = sorted(pool, key=lambda line: (line["item"][0] == "cx",
+                                            line["states"]))
+    size = len(ranked) // len(EXPLORE_GOLDEN)
+    got = []
+    for i in range(len(EXPLORE_GOLDEN)):
+        item = ranked[i * size]["item"]
+        if item[0] == "safe":
+            m = parse_session(item[1])
+        else:
+            cx = counterexample_session(parse_session_type(item[1]),
+                                        parse_session_type(item[2]))
+            m = Session(cx.parts + parse_session(item[3]).parts)
+        report = stuck_search(m, 10000)
+        got.append((report.verdict, report.explored, len(report.trace)))
+    assert got == EXPLORE_GOLDEN

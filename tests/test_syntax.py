@@ -1,5 +1,8 @@
 """Syntax trees: constructor invariants, printing, parsing, and helpers."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -269,3 +272,40 @@ class TestCaptureAvoidingRenaming:
             "mu t.p -> q : { a(nat).mu t.q -> p : l(nat).t, b(nat).t }")
         assert show(S.alpha_uniquify_global(g)) == (
             "mu t.p -> q : { a(nat).mu t_1.q -> p : l(nat).t_1, b(nat).t }")
+
+
+class TestCachedHash:
+    def test_equal_terms_built_apart_hash_equal(self):
+        rng = random.Random(404)
+        for _ in range(100):
+            a = gen.gen_type(rng, 4)
+            b = parse_session_type(show(a))
+            assert a is not b and a == b and hash(a) == hash(b)
+            m = Session((("a1", gen.gen_process(rng, 3, roles=("a2",))),
+                         ("a2", gen.gen_process(rng, 3, roles=("a1",)))))
+            assert hash(parse_session(show(m))) == hash(m)
+
+    def test_cached_hash_is_invisible(self):
+        t = parse_session_type("mu t.p?l(nat).t & p?m(int).end")
+        u = parse_session_type("mu t.p?l(nat).t & p?m(int).end")
+        before = repr(t)
+        hash(t)
+        assert t._hash is not None and u._hash is None
+        assert t == u and repr(t) == before == repr(u)
+        for node in (t, t.body, t.body.branches[0], S.Var("x"),
+                     parse_session("@p q!l(1).0 || @q p?l(x).0")):
+            hash(node)
+            assert "_hash" not in {f.name for f in dataclasses.fields(node)}
+
+    def test_cached_hash_is_not_pickled(self):
+        t = parse_session("@p q!l(1).0 || @q p?l(x).0")
+        hash(t)
+        for clone in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert clone == t and clone._hash is None
+            assert clone.parts[0][1]._hash is None
+            assert hash(clone) == hash(t)
+
+    def test_variables_of_different_categories_differ(self):
+        assert S.Var("x") != S.ProcVar("x")
+        assert S.TVar("t") != S.GVar("t")
+        assert len({S.Var("x"), S.ProcVar("x"), S.Var("x")}) == 2
