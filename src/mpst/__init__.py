@@ -31,16 +31,7 @@ from .errors import (
     TypingError,
     UnguardedRecursion,
 )
-from .exprs import (
-    BoolVal,
-    IntVal,
-    NatVal,
-    eval_all,
-    infer_sort,
-    subsort,
-    value_sort,
-    value_to_expr,
-)
+from .exprs import eval_all, infer_sort, subsort
 from .global_types import (
     CommAction,
     consume,

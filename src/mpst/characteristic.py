@@ -167,15 +167,11 @@ def preciseness_check(t: S.SessionType, tp: S.SessionType,
                       fuel: int = 10000) -> PrecisenessReport:
     verdict = decide(t, tp)
     p = fresh_participant(t, tp)
-    g = char_global(tp, p)
-    others = [(role, char_proc(project(g, role)))
-              for role in sorted(S.participants_of(tp))]
+    session = counterexample_session(t, tp, p)
 
     if verdict.relation == "leq":
-        typed = S.Session(tuple([(p, char_proc(tp))] + others))
-        check_session(typed, g)
-        probe = S.Session(tuple([(p, char_proc(t))] + others))
-        report = stuck_search(probe, fuel)
+        check_session(counterexample_session(tp, tp, p), char_global(tp, p))
+        report = stuck_search(session, fuel)
         if report.verdict == "stuckFound":
             return PrecisenessReport(
                 "leq", False,
@@ -191,7 +187,6 @@ def preciseness_check(t: S.SessionType, tp: S.SessionType,
             f"substituted session is safe ({report.verdict}, "
             f"{report.explored} states)")
 
-    session = S.Session(tuple([(p, char_proc(t))] + others))
     report = stuck_search(session, fuel)
     if report.verdict == "stuckFound":
         return PrecisenessReport(

@@ -1,114 +1,55 @@
-"""Values, nondeterministic evaluation and sort inference for expressions.
+"""Nondeterministic evaluation and sort inference for expressions.
 
-Evaluation is set-valued because of the nondeterministic choice operator:
-`eval_all` returns exactly the set of values the evaluation relation can
-produce.  An empty set means the expression is stuck, e.g. succ(-5): the
-successor rule applies to naturals only, and the context rule evaluates the
-argument first, so no derivation exists.  Variables have no evaluation rule
-at all, so a free variable is stuck too.
+Values are the literal expressions, as in the calculus: a number evaluates
+to the literal of its minimal sort (`S.int_literal`, so a non-negative number
+is always a `NatLit`), a boolean to a `BoolLit`.  Evaluation is set-valued
+because of the nondeterministic choice operator: `eval_all` returns exactly
+the set of values the evaluation relation can produce.  An empty set means
+the expression is stuck, e.g. succ(-5): the successor rule applies to
+naturals only, and the context rule evaluates the argument first, so no
+derivation exists.  Variables have no evaluation rule at all, so a free
+variable is stuck too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 from . import syntax as S
 from .errors import TypingError
-from .printer import show_int
-
-# --------------------------------------------------------------------------
-# Values.  Numbers carry the minimal sort: non-negative integers are NatVal.
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NatVal:
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("NatVal must be non-negative")
-
-    def __str__(self) -> str:
-        return show_int(self.value)
-
-
-@dataclass(frozen=True)
-class IntVal:
-    value: int
-
-    def __str__(self) -> str:
-        return show_int(self.value)
-
-
-@dataclass(frozen=True)
-class BoolVal:
-    value: bool
-
-    def __str__(self) -> str:
-        return "true" if self.value else "false"
-
-
-Value = Union[NatVal, IntVal, BoolVal]
-
-
-def num(value: int) -> Value:
-    return NatVal(value) if value >= 0 else IntVal(value)
-
-
-def value_sort(v: Value) -> S.Sort:
-    if isinstance(v, NatVal):
-        return S.Sort.NAT
-    if isinstance(v, IntVal):
-        return S.Sort.INT
-    return S.Sort.BOOL
-
-
-def value_to_expr(v: Value) -> S.Expr:
-    if isinstance(v, (NatVal, IntVal)):
-        return S.int_literal(v.value)
-    return S.BoolLit(v.value)
-
-
-def expr_is_value(e: S.Expr) -> bool:
-    return isinstance(e, (S.NatLit, S.IntLit, S.BoolLit))
-
 
 # --------------------------------------------------------------------------
 # Evaluation
 # --------------------------------------------------------------------------
 
+_NUMBERS = (S.NatLit, S.IntLit)
 
-def eval_all(e: S.Expr) -> frozenset[Value]:
+
+def eval_all(e: S.Expr) -> frozenset[S.Expr]:
     """The exact set of values `e` can evaluate to (empty when stuck)."""
-    if isinstance(e, S.NatLit):
-        return frozenset({num(e.value)})
+    if isinstance(e, (S.NatLit, S.BoolLit)):
+        return frozenset({e})
     if isinstance(e, S.IntLit):
-        return frozenset({num(e.value)})
-    if isinstance(e, S.BoolLit):
-        return frozenset({BoolVal(e.value)})
+        return frozenset({S.int_literal(e.value)})
     if isinstance(e, S.Var):
         return frozenset()
     if isinstance(e, S.Succ):
-        return frozenset(NatVal(v.value + 1)
-                         for v in eval_all(e.arg) if isinstance(v, NatVal))
+        return frozenset(S.NatLit(v.value + 1)
+                         for v in eval_all(e.arg) if isinstance(v, S.NatLit))
     if isinstance(e, S.Neg):
-        return frozenset(num(-v.value)
-                         for v in eval_all(e.arg) if isinstance(v, (NatVal, IntVal)))
+        return frozenset(S.int_literal(-v.value)
+                         for v in eval_all(e.arg) if isinstance(v, _NUMBERS))
     if isinstance(e, S.Not):
-        return frozenset(BoolVal(not v.value)
-                         for v in eval_all(e.arg) if isinstance(v, BoolVal))
+        return frozenset(S.BoolLit(not v.value)
+                         for v in eval_all(e.arg) if isinstance(v, S.BoolLit))
     if isinstance(e, S.Choice):
         return eval_all(e.left) | eval_all(e.right)
     if isinstance(e, S.Gt):
         out = set()
         for a in eval_all(e.left):
-            if not isinstance(a, (NatVal, IntVal)):
+            if not isinstance(a, _NUMBERS):
                 continue
             for b in eval_all(e.right):
-                if isinstance(b, (NatVal, IntVal)):
-                    out.add(BoolVal(a.value > b.value))
+                if isinstance(b, _NUMBERS):
+                    out.add(S.BoolLit(a.value > b.value))
         return frozenset(out)
     raise TypeError(f"not an expression: {e!r}")
 

@@ -123,8 +123,6 @@ def _project(g: S.GlobalType, role: str) -> S.SessionType:
 
     def merge_pending(a: S.SessionType, b: S.SessionType,
                       path: tuple[str, ...]) -> S.SessionType:
-        if S.regular_tree_equal(a, b):
-            return a
         ua = S.unfold_spine(a)
         ub = S.unfold_spine(b)
         if isinstance(ua, S.TVar) and ua.name in pending and not isinstance(ub, S.TVar):

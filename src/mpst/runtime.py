@@ -13,9 +13,11 @@ Reduction follows the synchronous rules literally: a communication fires only
 when the sender's entire process is an output and the receiver's is an input
 choice toward that sender offering the label; expressions evaluate by the
 nondeterministic value relation, so one redex can yield several successors
-(one per value), and a conditional forks on every boolean value of its guard.
-An expression with no value contributes no successor at all, which is one of
-the ways a session gets stuck.
+(one per value, and per summand when several offer the label), and a
+conditional forks on every boolean value of its guard.  A communication
+substitutes the value, a literal, for the receiver's variable.  An expression
+with no value contributes no successor at all, which is one of the ways a
+session gets stuck.
 """
 
 from __future__ import annotations
@@ -25,21 +27,24 @@ from dataclasses import dataclass
 
 from . import syntax as S
 from .errors import FuelMisuse
-from .exprs import BoolVal, eval_all, value_to_expr
+from .exprs import eval_all
+from .printer import show_expr
 
 
 @dataclass(frozen=True)
 class Step:
     """One reduction: the rule applied, the printable trace line, and the
     structured pieces (source/target participant, label and value for
-    communications; conditionals have source == target and no label)."""
+    communications; conditionals have source == target and no label).  The
+    value is a literal expression: the one substituted into the receiver,
+    or the guard's `BoolLit`."""
 
     rule: str  # "r-comm" | "t-conditional" | "f-conditional"
     line: str
     source: str = ""
     target: str = ""
     label: str | None = None
-    value: object = None
+    value: S.Expr | None = None
 
     def __str__(self) -> str:
         return self.line
@@ -92,18 +97,24 @@ def is_terminated(m: S.Session) -> bool:
 
 
 def _input_offers(p: S.Process):
-    """The (label -> Input) table of an input choice, with its partner, or
-    None when p is not an input choice."""
+    """The partner and the Input summands of an input choice, or None when
+    p is not an input choice."""
     if isinstance(p, S.Input):
-        return p.partner, {p.label: p}
+        return p.partner, (p,)
     if isinstance(p, S.ExtChoice):
         if not all(isinstance(q, S.Input) for q in p.branches):
             return None
         partners = {q.partner for q in p.branches}
         if len(partners) != 1:
             return None
-        return partners.pop(), {q.label: q for q in p.branches}
+        return partners.pop(), p.branches
     return None
+
+
+def _values(e: S.Expr) -> list[tuple[str, S.Expr]]:
+    """The values of e with their printed forms, in printed order.  The
+    printed form of a value is unique, so the sort never compares values."""
+    return sorted((show_expr(v), v) for v in eval_all(e))
 
 
 def step_all(m: S.Session) -> list[tuple[Step, S.Session]]:
@@ -122,12 +133,12 @@ def _successors(m: S.Session) -> list[tuple[Step, S.Session]]:
 
     for role, proc in m.parts:
         if isinstance(proc, S.Cond):
-            for v in sorted(eval_all(proc.guard), key=str):
-                if not isinstance(v, BoolVal):
+            for text, v in _values(proc.guard):
+                if not isinstance(v, S.BoolLit):
                     continue
                 branch = proc.then if v.value else proc.orelse
                 rule = "t-conditional" if v.value else "f-conditional"
-                step = Step(rule, f"{role} --if({v})--> {role}",
+                step = Step(rule, f"{role} --if({text})--> {role}",
                             source=role, target=role, value=v)
                 out.append((step, successor({role: branch})))
         elif isinstance(proc, S.Output):
@@ -137,18 +148,19 @@ def _successors(m: S.Session) -> list[tuple[Step, S.Session]]:
             offers = _input_offers(receiver)
             if offers is None or offers[0] != role:
                 continue
-            summand = offers[1].get(proc.label)
-            if summand is None:
+            summands = [q for q in offers[1] if q.label == proc.label]
+            if not summands:
                 continue
-            for v in sorted(eval_all(proc.payload), key=str):
-                body = S.subst(summand.body, S.Var(summand.var),
-                               value_to_expr(v))
-                step = Step("r-comm",
-                            f"{role} --{proc.label}({v})--> {proc.partner}",
-                            source=role, target=proc.partner,
-                            label=proc.label, value=v)
-                out.append((step, successor({role: proc.body,
-                                             proc.partner: body})))
+            values = _values(proc.payload)
+            for summand in summands:
+                for text, v in values:
+                    body = S.subst(summand.body, S.Var(summand.var), v)
+                    step = Step("r-comm",
+                                f"{role} --{proc.label}({text})--> {proc.partner}",
+                                source=role, target=proc.partner,
+                                label=proc.label, value=v)
+                    out.append((step, successor({role: proc.body,
+                                                 proc.partner: body})))
     return out
 
 

@@ -9,6 +9,7 @@ from conftest import fixture_text
 from mpst import (
     InternalError,
     ParticipantClash,
+    ProjectionError,
     char_global,
     char_proc,
     check_process,
@@ -182,6 +183,15 @@ class TestPreciseness:
         assert report.relation == "leq"
         assert report.ok is True
         assert report.detail == "substituted session is safe (terminated, 1 states)"
+
+    def test_projection_failure_is_an_internal_error(self, monkeypatch):
+        def fail(g, role):
+            raise ProjectionError("mergeUndefined", ())
+
+        monkeypatch.setattr("mpst.characteristic.project", fail)
+        for t in ("p!l(nat).end", "p!l(int).end"):  # leq and nleq
+            with pytest.raises(InternalError):
+                preciseness_check(T(t), T("p!l(nat).end"))
 
     def test_random_pairs_are_never_refuted(self):
         rng = random.Random(705)

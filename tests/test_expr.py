@@ -1,23 +1,12 @@
-"""Expression values, nondeterministic evaluation, and sort inference."""
+"""Values (the literal expressions), nondeterministic evaluation, and sort
+inference."""
 
 import random
 
 import pytest
 
 import gen
-from mpst import (
-    BoolVal,
-    IntVal,
-    NatVal,
-    Sort,
-    TypingError,
-    eval_all,
-    infer_sort,
-    parse_expr,
-    subsort,
-    value_sort,
-    value_to_expr,
-)
+from mpst import Sort, TypingError, eval_all, infer_sort, parse_expr, subsort
 from mpst import syntax as S
 
 
@@ -27,31 +16,31 @@ def evals(src):
 
 class TestValues:
     def test_minimal_sorts(self):
-        assert value_sort(NatVal(5)) == Sort.NAT
-        assert value_sort(IntVal(-5)) == Sort.INT
-        assert value_sort(BoolVal(True)) == Sort.BOOL
+        assert infer_sort({}, S.NatLit(5)) == Sort.NAT
+        assert infer_sort({}, S.IntLit(-5)) == Sort.INT
+        assert infer_sort({}, S.BoolLit(True)) == Sort.BOOL
 
-    def test_natval_must_be_non_negative(self):
+    def test_natlit_must_be_non_negative(self):
         with pytest.raises(ValueError):
-            NatVal(-1)
+            S.NatLit(-1)
 
-    def test_value_expr_round_trip(self):
-        for v in (NatVal(0), NatVal(7), IntVal(-3), BoolVal(False)):
-            assert eval_all(value_to_expr(v)) == frozenset({v})
+    def test_value_evaluates_to_itself(self):
+        for v in (S.NatLit(0), S.NatLit(7), S.IntLit(-3), S.BoolLit(False)):
+            assert eval_all(v) == frozenset({v})
 
 
 class TestEvaluation:
     def test_literals(self):
-        assert evals("5") == frozenset({NatVal(5)})
-        assert evals("-5") == frozenset({IntVal(-5)})
-        assert evals("true") == frozenset({BoolVal(True)})
+        assert evals("5") == frozenset({S.NatLit(5)})
+        assert evals("-5") == frozenset({S.IntLit(-5)})
+        assert evals("true") == frozenset({S.BoolLit(True)})
 
     def test_non_negative_literal_is_a_natural(self):
-        assert eval_all(S.IntLit(3)) == frozenset({NatVal(3)})
+        assert eval_all(S.IntLit(3)) == frozenset({S.NatLit(3)})
 
     def test_succ(self):
-        assert evals("succ 4") == frozenset({NatVal(5)})
-        assert evals("succ succ 0") == frozenset({NatVal(2)})
+        assert evals("succ 4") == frozenset({S.NatLit(5)})
+        assert evals("succ succ 0") == frozenset({S.NatLit(2)})
 
     def test_succ_is_stuck_on_negatives_and_bools(self):
         assert evals("succ -5") == frozenset()
@@ -59,29 +48,29 @@ class TestEvaluation:
         assert evals("succ neg 3") == frozenset()
 
     def test_neg(self):
-        assert evals("neg 5") == frozenset({IntVal(-5)})
-        assert evals("neg -3") == frozenset({NatVal(3)})
-        assert evals("neg 0") == frozenset({NatVal(0)})
+        assert evals("neg 5") == frozenset({S.IntLit(-5)})
+        assert evals("neg -3") == frozenset({S.NatLit(3)})
+        assert evals("neg 0") == frozenset({S.NatLit(0)})
         assert evals("neg false") == frozenset()
 
     def test_not(self):
-        assert evals("not true") == frozenset({BoolVal(False)})
-        assert evals("not not false") == frozenset({BoolVal(False)})
+        assert evals("not true") == frozenset({S.BoolLit(False)})
+        assert evals("not not false") == frozenset({S.BoolLit(False)})
         assert evals("not 1") == frozenset()
 
     def test_comparison(self):
-        assert evals("5 > -1") == frozenset({BoolVal(True)})
-        assert evals("0 > 0") == frozenset({BoolVal(False)})
+        assert evals("5 > -1") == frozenset({S.BoolLit(True)})
+        assert evals("0 > 0") == frozenset({S.BoolLit(False)})
         assert evals("true > 1") == frozenset()
 
     def test_choice_collects_both_sides(self):
-        assert evals("1 (+) 2") == frozenset({NatVal(1), NatVal(2)})
-        assert evals("1 (+) 1") == frozenset({NatVal(1)})
+        assert evals("1 (+) 2") == frozenset({S.NatLit(1), S.NatLit(2)})
+        assert evals("1 (+) 1") == frozenset({S.NatLit(1)})
         assert evals("(1 (+) 2) > (1 (+) 2)") == frozenset(
-            {BoolVal(True), BoolVal(False)})
+            {S.BoolLit(True), S.BoolLit(False)})
 
     def test_choice_ignores_a_stuck_side(self):
-        assert evals("1 (+) succ true") == frozenset({NatVal(1)})
+        assert evals("1 (+) succ true") == frozenset({S.NatLit(1)})
         assert evals("succ true (+) not 0") == frozenset()
 
     def test_free_variable_is_stuck(self):
@@ -150,5 +139,5 @@ class TestSortInference:
             values = eval_all(e)
             assert values, e
             for v in values:
-                assert subsort(value_sort(v), s), (e, v, s)
+                assert subsort(infer_sort({}, v), s), (e, v, s)
         assert typed >= 200

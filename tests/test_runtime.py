@@ -10,7 +10,6 @@ import pytest
 import gen
 from conftest import fixture_text
 from mpst import (
-    BoolVal,
     FuelMisuse,
     ProjectionError,
     Session,
@@ -29,8 +28,6 @@ from mpst import (
     stuck_search,
 )
 from mpst import syntax as S
-from mpst.exprs import value_to_expr
-from mpst.runtime import _input_offers
 
 M = parse_session
 
@@ -65,6 +62,7 @@ class TestStepAll:
         assert st.rule == "r-comm"
         assert st.line == "p --l(7)--> q"
         assert (st.source, st.label, st.target) == ("p", "l", "q")
+        assert st.value == S.NatLit(7)
         assert show(m2) == "@q p!m(7).0"
 
     def test_nondeterministic_payload_forks(self):
@@ -76,6 +74,15 @@ class TestStepAll:
         steps = step_all(M("@p q!b(5).0 || @q p?a(x).p!r1(x).0 + p?b(x).0"))
         assert [st.line for st, _ in steps] == ["p --b(5)--> q"]
         assert show(steps[0][1]) == "@_ 0"
+
+    def test_every_summand_with_the_label_fires(self):
+        # Which summand fires must not depend on the bound variables' names.
+        for receiver in ("p?l(x).0 + p?l(y).p!m(true).0",
+                         "p?l(x).p!m(true).0 + p?l(y).0"):
+            m = M(f"@p q!l(1).0 || @q {receiver}")
+            assert sorted(show(m2) for _, m2 in step_all(m)) == [
+                "@_ 0", "@q p!m(true).0"]
+            assert stuck_search(m, 100).verdict == "stuckFound"
 
     def test_conditional_forks_per_boolean(self):
         steps = step_all(M("@p if true then q!l(1).0 else 0 || @q p?l(x).0"))
@@ -213,7 +220,7 @@ def reference_step_all(m):
     for role, proc in m.parts:
         if isinstance(proc, S.Cond):
             for v in sorted(eval_all(proc.guard), key=str):
-                if not isinstance(v, BoolVal):
+                if not isinstance(v, S.BoolLit):
                     continue
                 branch = proc.then if v.value else proc.orelse
                 rule = "t-conditional" if v.value else "f-conditional"
@@ -221,23 +228,30 @@ def reference_step_all(m):
                             source=role, target=role, value=v)
                 out.append((step, successor({role: branch})))
         elif isinstance(proc, S.Output):
-            receiver = mapping.get(proc.partner)
-            offers = None if receiver is None else _input_offers(receiver)
-            if offers is None or offers[0] != role:
-                continue
-            summand = offers[1].get(proc.label)
-            if summand is None:
-                continue
-            for v in sorted(eval_all(proc.payload), key=str):
-                body = S.subst(summand.body, S.Var(summand.var),
-                               value_to_expr(v))
-                step = Step("r-comm",
-                            f"{role} --{proc.label}({v})--> {proc.partner}",
-                            source=role, target=proc.partner,
-                            label=proc.label, value=v)
-                out.append((step, successor({role: proc.body,
-                                             proc.partner: body})))
+            for summand in offered(mapping.get(proc.partner), role, proc.label):
+                for v in sorted(eval_all(proc.payload), key=str):
+                    body = S.subst(summand.body, S.Var(summand.var), v)
+                    step = Step("r-comm",
+                                f"{role} --{proc.label}({v})--> {proc.partner}",
+                                source=role, target=proc.partner,
+                                label=proc.label, value=v)
+                    out.append((step, successor({role: proc.body,
+                                                 proc.partner: body})))
     return out
+
+
+def offered(receiver, sender, label):
+    """The summands of `receiver` that take `label` from `sender`: every
+    summand with that label when `receiver` is an input choice toward
+    `sender` alone, none otherwise."""
+    if receiver is None:
+        return []
+    summands = (receiver.branches if isinstance(receiver, S.ExtChoice)
+                else (receiver,))
+    if not all(isinstance(q, S.Input) and q.partner == sender
+               for q in summands):
+        return []
+    return [q for q in summands if q.label == label]
 
 
 def random_sessions(rng, count):
