@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from . import syntax as S
 from .errors import InternalError, ParticipantClash, ProjectionError
 from .global_types import project
-from .runtime import Step, StuckReport, stuck_search
+from .runtime import Step, stuck_search
 from .subtyping import NsubDerivation, decide
-from .typecheck import check_process, check_session
+from .typecheck import check_session
 
 
 def char_global(t: S.SessionType, p: str) -> S.GlobalType:
@@ -56,10 +56,7 @@ def char_global(t: S.SessionType, p: str) -> S.GlobalType:
             return S.GVar(t.name)
         if isinstance(t, S.TRec):
             return S.GRec(t.var, go(t.body))
-        if isinstance(t, S.TIn):
-            partner, here, there = t.sender, p, t.sender
-        else:
-            partner, here, there = t.receiver, t.receiver, p
+        partner = t.sender if isinstance(t, S.TIn) else t.receiver
         start = roles.index(partner)
         branches = tuple(
             S.GBranch(br.label, br.sort, chain(go(br.cont), br.label, start))

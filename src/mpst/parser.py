@@ -17,6 +17,10 @@ Operator notes: '>' is non-associative and binds loosest; '(+)' is a single
 token and associates to the left; succ/neg/not are prefixes.  A continuation
 after '.' is a single item; parenthesise sums, conditionals and recursions.
 '&' and '\\/' chains cannot be mixed without parentheses.
+
+The parser tests a token by its text alone: the tokenizer turns every
+identifier that spells a keyword into a keyword token, and only symbol
+tokens spell symbols, so a keyword's or symbol's text names one token kind.
 """
 
 from __future__ import annotations
@@ -40,6 +44,14 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 _SORTS = {"nat": S.Sort.NAT, "int": S.Sort.INT, "bool": S.Sort.BOOL}
+_UNARY = {"succ": S.Succ, "neg": S.Neg, "not": S.Not}
+_PREFIXES = {"?": S.TIn, "!": S.TOut}
+# connective -> (member class, junction name, message for a wrong member)
+_JUNCTIONS = {
+    "&": (S.TIn, "intersection",
+          "every member of an intersection must be an input prefix"),
+    "\\/": (S.TOut, "union", "every member of a union must be an output prefix"),
+}
 
 
 class _Tok(NamedTuple):
@@ -84,67 +96,65 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def at_sym(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.text == text
+    def at(self, text: str) -> bool:
+        return self.toks[self.pos].text == text
 
-    def at_kw(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "kw" and t.text == text
+    def accept(self, text: str) -> bool:
+        """Consume the next token if it spells `text`."""
+        if self.toks[self.pos].text != text:
+            return False
+        self.pos += 1
+        return True
 
-    def eat_sym(self, text: str) -> None:
-        if not self.at_sym(text):
-            self.fail(f"expected {text!r}")
-        self.next()
-
-    def eat_kw(self, text: str) -> None:
-        if not self.at_kw(text):
-            self.fail(f"expected keyword {text!r}")
-        self.next()
+    def eat(self, text: str) -> None:
+        if not self.accept(text):
+            self.fail(f"expected keyword {text!r}" if text in _KEYWORDS
+                      else f"expected {text!r}")
 
     def ident(self, what: str) -> str:
-        t = self.peek()
-        if t.kind != "ident":
+        if self.peek().kind != "ident":
             self.fail(f"expected {what}")
         return self.next().text
+
+    def binder(self) -> str | None:
+        """The variable of a `mu x.` opener, or None when not at `mu`."""
+        if not self.accept("mu"):
+            return None
+        var = self.ident("a recursion variable")
+        self.eat(".")
+        return var
+
+    def label(self) -> str:
+        """The label of an `l(` opener."""
+        label = self.ident("a label")
+        self.eat("(")
+        return label
 
     def fail(self, msg: str):
         t = self.peek()
         got = t.text if t.kind != "eof" else "end of input"
         raise ParseError(f"{msg}, got {got!r}", t.line, t.col)
 
-    def done(self) -> None:
-        if self.peek().kind != "eof":
-            self.fail("trailing input")
-
     # -- expressions --------------------------------------------------------
 
     def expr(self) -> S.Expr:
         left = self.expr_choice()
-        if self.at_sym(">"):
-            self.next()
-            right = self.expr_choice()
-            return S.Gt(left, right)
+        if self.accept(">"):
+            return S.Gt(left, self.expr_choice())
         return left
 
     def expr_choice(self) -> S.Expr:
         left = self.expr_unary()
-        while self.at_sym("(+)"):
-            self.next()
+        while self.accept("(+)"):
             left = S.Choice(left, self.expr_unary())
         return left
 
     def expr_unary(self) -> S.Expr:
-        if self.at_kw("succ"):
-            self.next()
-            return S.Succ(self.expr_unary())
-        if self.at_kw("neg"):
-            self.next()
-            return S.Neg(self.expr_unary())
-        if self.at_kw("not"):
-            self.next()
-            return S.Not(self.expr_unary())
-        return self.expr_atom()
+        op = _UNARY.get(self.peek().text)
+        if op is None:
+            return self.expr_atom()
+        self.next()
+        return op(self.expr_unary())
 
     def expr_atom(self) -> S.Expr:
         t = self.peek()
@@ -154,73 +164,60 @@ class _Parser:
                 return S.int_literal(int(t.text))
             except ValueError:  # more digits than sys.get_int_max_str_digits()
                 raise ParseError("number too long", t.line, t.col) from None
-        if t.kind == "kw" and t.text in ("true", "false"):
-            self.next()
+        if self.accept("true") or self.accept("false"):
             return S.BoolLit(t.text == "true")
         if t.kind == "ident":
             return S.Var(self.next().text)
-        if self.at_sym("("):
-            self.next()
+        if self.accept("("):
             e = self.expr()
-            self.eat_sym(")")
+            self.eat(")")
             return e
         self.fail("expected an expression")
 
     # -- processes ----------------------------------------------------------
 
     def process(self) -> S.Process:
-        if self.at_kw("if"):
-            self.next()
+        if self.accept("if"):
             guard = self.expr()
-            self.eat_kw("then")
+            self.eat("then")
             then = self.process()
-            self.eat_kw("else")
+            self.eat("else")
             return S.Cond(guard, then, self.process())
-        if self.at_kw("mu"):
-            self.next()
-            var = self.ident("a recursion variable")
-            self.eat_sym(".")
+        var = self.binder()
+        if var is not None:
             return S.Rec(var, self.process())
         items = [self.proc_item()]
-        while self.at_sym("+"):
-            self.next()
+        while self.accept("+"):
             items.append(self.proc_item())
         return S.ext_choice(items)
 
     def proc_item(self) -> S.Process:
-        t = self.peek()
-        if t.kind == "num" and t.text == "0":
-            self.next()
+        if self.accept("0"):
             return S.Inact()
-        if self.at_sym("("):
-            self.next()
+        if self.accept("("):
             p = self.process()
-            self.eat_sym(")")
+            self.eat(")")
             return p
-        if t.kind == "ident":
-            name = self.next().text
-            if self.at_sym("?"):
-                self.next()
-                label = self.ident("a label")
-                self.eat_sym("(")
-                var = self.ident("a variable")
-                self.eat_sym(")")
-                self.eat_sym(".")
-                return S.Input(name, label, var, self.proc_cont())
-            if self.at_sym("!"):
-                self.next()
-                label = self.ident("a label")
-                self.eat_sym("(")
-                payload = self.expr()
-                self.eat_sym(")")
-                self.eat_sym(".")
-                return S.Output(name, label, payload, self.proc_cont())
-            return S.ProcVar(name)
-        self.fail("expected a process")
+        if self.peek().kind != "ident":
+            self.fail("expected a process")
+        name = self.next().text
+        if self.accept("?"):
+            label = self.label()
+            var = self.ident("a variable")
+            self.eat(")")
+            self.eat(".")
+            return S.Input(name, label, var, self.proc_cont())
+        if self.accept("!"):
+            label = self.label()
+            payload = self.expr()
+            self.eat(")")
+            self.eat(".")
+            return S.Output(name, label, payload, self.proc_cont())
+        return S.ProcVar(name)
 
     def proc_cont(self) -> S.Process:
         # A continuation is one item, or an if/mu that extends maximally.
-        if self.at_kw("if") or self.at_kw("mu"):
+        if self.at("if") or self.at("mu"):
             return self.process()
         return self.proc_item()
 
@@ -229,194 +226,144 @@ class _Parser:
     def session(self) -> S.Session:
         entries: dict[str, S.Process] = {}
         while True:
-            self.eat_sym("@")
+            self.eat("@")
             t = self.peek()
             name = self.ident("a participant")
             if name in entries:
                 raise ParseError(f"participant {name!r} listed twice", t.line, t.col)
             entries[name] = self.process()
-            if not self.at_sym("||"):
-                break
-            self.next()
-        return S.session(entries)
+            if not self.accept("||"):
+                return S.Session(tuple(entries.items()))
 
     # -- session types --------------------------------------------------------
 
     def session_type(self) -> S.SessionType:
-        if self.at_kw("mu"):
-            self.next()
-            var = self.ident("a recursion variable")
-            self.eat_sym(".")
+        var = self.binder()
+        if var is not None:
             return S.TRec(var, self.session_type())
-        t = self.peek()
-        first = self.type_item()
-        if self.at_sym("&") or self.at_sym("\\/"):
-            conn = self.peek().text
-            members = [first]
-            while self.at_sym(conn):
-                self.next()
-                members.append(self.type_item())
-            if self.at_sym("&") or self.at_sym("\\/"):
-                self.fail("cannot mix '&' and '\\/' without parentheses")
-            return self.junction(conn, members, t)
-        return first
-
-    def junction(self, conn: str, members: list[S.SessionType], at: _Tok) -> S.SessionType:
-        want = S.TIn if conn == "&" else S.TOut
-        kind = "intersection" if conn == "&" else "union"
-        roles = set()
-        branches: list[S.TBranch] = []
-        for m in members:
-            if not isinstance(m, want):
-                raise ParseError(f"every member of an {kind} must be an "
-                                 f"{'input' if conn == '&' else 'output'} prefix",
-                                 at.line, at.col)
-            roles.add(m.sender if conn == "&" else m.receiver)
-            branches.extend(m.branches)
+        start = self.peek()
+        members = [self.type_item()]
+        conn = self.peek().text
+        if conn not in _JUNCTIONS:
+            return members[0]
+        while self.accept(conn):
+            members.append(self.type_item())
+        if self.peek().text in _JUNCTIONS:
+            self.fail("cannot mix '&' and '\\/' without parentheses")
+        want, kind, wrong_member = _JUNCTIONS[conn]
+        if not all(isinstance(m, want) for m in members):
+            raise ParseError(wrong_member, start.line, start.col)
+        roles = {r for m in members for r in m._roles(m)}
         if len(roles) != 1:
             raise ParseError(f"{kind} members must share one partner, got {sorted(roles)}",
-                             at.line, at.col)
-        role = roles.pop()
-        return S.TIn(role, tuple(branches)) if conn == "&" else S.TOut(role, tuple(branches))
+                             start.line, start.col)
+        return want(roles.pop(), tuple(b for m in members for b in m.branches))
 
     def type_item(self) -> S.SessionType:
-        if self.at_kw("end"):
-            self.next()
+        if self.accept("end"):
             return S.TEnd()
-        if self.at_sym("("):
-            self.next()
+        if self.accept("("):
             t = self.session_type()
-            self.eat_sym(")")
+            self.eat(")")
             return t
-        if self.peek().kind == "ident":
-            name = self.next().text
-            if self.at_sym("?") or self.at_sym("!"):
-                is_input = self.next().text == "?"
-                label = self.ident("a label")
-                self.eat_sym("(")
-                sort = self.sort()
-                self.eat_sym(")")
-                if self.at_sym("."):
-                    self.next()
-                    cont = self.type_cont()
-                else:
-                    cont = S.TEnd()
-                branch = (S.TBranch(label, sort, cont),)
-                return S.TIn(name, branch) if is_input else S.TOut(name, branch)
+        if self.peek().kind != "ident":
+            self.fail("expected a session type")
+        name = self.next().text
+        prefix = _PREFIXES.get(self.peek().text)
+        if prefix is None:
             return S.TVar(name)
-        self.fail("expected a session type")
+        self.next()
+        label = self.label()
+        sort = self.sort()
+        self.eat(")")
+        cont = self.type_cont() if self.accept(".") else S.TEnd()
+        return prefix(name, (S.TBranch(label, sort, cont),))
 
     def type_cont(self) -> S.SessionType:
-        if self.at_kw("mu"):
-            return self.session_type()
-        return self.type_item()
+        return self.session_type() if self.at("mu") else self.type_item()
 
     def sort(self) -> S.Sort:
-        t = self.peek()
-        if t.kind == "kw" and t.text in _SORTS:
-            self.next()
-            return _SORTS[t.text]
-        self.fail("expected a sort (nat, int or bool)")
+        sort = _SORTS.get(self.peek().text)
+        if sort is None:
+            self.fail("expected a sort (nat, int or bool)")
+        self.next()
+        return sort
 
     # -- global types ---------------------------------------------------------
 
     def global_type(self) -> S.GlobalType:
-        if self.at_kw("mu"):
-            self.next()
-            var = self.ident("a recursion variable")
-            self.eat_sym(".")
+        var = self.binder()
+        if var is not None:
             return S.GRec(var, self.global_type())
-        if self.at_kw("end"):
-            self.next()
+        if self.accept("end"):
             return S.GEnd()
-        if self.at_sym("("):
-            self.next()
+        if self.accept("("):
             g = self.global_type()
-            self.eat_sym(")")
+            self.eat(")")
             return g
-        if self.peek().kind == "ident":
-            name = self.next().text
-            if not self.at_sym("->"):
-                return S.GVar(name)
-            self.next()
-            receiver = self.ident("a participant")
-            self.eat_sym(":")
-            if self.at_sym("{"):
-                self.next()
-                branches = [self.global_branch()]
-                while self.at_sym(","):
-                    self.next()
-                    branches.append(self.global_branch())
-                self.eat_sym("}")
-            else:
-                branches = [self.global_branch()]
-            return S.GComm(name, receiver, tuple(branches))
-        self.fail("expected a global type")
+        if self.peek().kind != "ident":
+            self.fail("expected a global type")
+        sender = self.next().text
+        if not self.accept("->"):
+            return S.GVar(sender)
+        receiver = self.ident("a participant")
+        self.eat(":")
+        braced = self.accept("{")
+        branches = [self.global_branch()]
+        while braced and self.accept(","):
+            branches.append(self.global_branch())
+        if braced:
+            self.eat("}")
+        return S.GComm(sender, receiver, tuple(branches))
 
     def global_branch(self) -> S.GBranch:
-        label = self.ident("a label")
-        self.eat_sym("(")
+        label = self.label()
         sort = self.sort()
-        self.eat_sym(")")
-        if self.at_sym("."):
-            self.next()
-            cont = self.global_type()
-        else:
-            cont = S.GEnd()
+        self.eat(")")
+        cont = self.global_type() if self.accept(".") else S.GEnd()
         return S.GBranch(label, sort, cont)
 
 
-def parse_expr(src: str) -> S.Expr:
-    p = _Parser(src)
-    e = p.expr()
-    p.done()
-    return e
-
-
-def parse_process(src: str) -> S.Process:
-    p = _Parser(src)
-    proc = p.process()
-    p.done()
-    return proc
-
-
-def parse_session(src: str) -> S.Session:
-    p = _Parser(src)
-    m = p.session()
-    p.done()
-    return m
-
-
-def parse_session_type(src: str) -> S.SessionType:
-    p = _Parser(src)
-    t = p.session_type()
-    p.done()
-    return t
-
-
-def parse_global_type(src: str) -> S.GlobalType:
-    p = _Parser(src)
-    g = p.global_type()
-    p.done()
-    return g
-
-
-_BY_CATEGORY = {
-    "expr": parse_expr,
-    "process": parse_process,
-    "session": parse_session,
-    "type": parse_session_type,
-    "sessiontype": parse_session_type,
-    "global": parse_global_type,
-    "globaltype": parse_global_type,
+_RULES = {
+    "expr": _Parser.expr,
+    "process": _Parser.process,
+    "session": _Parser.session,
+    "type": _Parser.session_type,
+    "sessiontype": _Parser.session_type,
+    "global": _Parser.global_type,
+    "globaltype": _Parser.global_type,
 }
 
 
 def parse(src: str, category: str):
-    """Parse `src` as the given category: expr, process, session,
+    """Parse all of `src` as the given category: expr, process, session,
     sessiontype (alias type) or globaltype (alias global)."""
     try:
-        fn = _BY_CATEGORY[category]
+        rule = _RULES[category]
     except KeyError:
         raise ValueError(f"unknown category {category!r}") from None
-    return fn(src)
+    p = _Parser(src)
+    term = rule(p)
+    if p.peek().kind != "eof":
+        p.fail("trailing input")
+    return term
+
+
+def parse_expr(src: str) -> S.Expr:
+    return parse(src, "expr")
+
+
+def parse_process(src: str) -> S.Process:
+    return parse(src, "process")
+
+
+def parse_session(src: str) -> S.Session:
+    return parse(src, "session")
+
+
+def parse_session_type(src: str) -> S.SessionType:
+    return parse(src, "sessiontype")
+
+
+def parse_global_type(src: str) -> S.GlobalType:
+    return parse(src, "globaltype")

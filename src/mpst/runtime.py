@@ -37,7 +37,10 @@ class Step:
     structured pieces (source/target participant, label and value for
     communications; conditionals have source == target and no label).  The
     value is a literal expression: the one substituted into the receiver,
-    or the guard's `BoolLit`."""
+    or the guard's `BoolLit`.  When several summands of the receiver offer
+    the label, `summand` is the 1-based position of the one that fired
+    among them, in canonical order, and the line ends in ` #k`; otherwise
+    it is None."""
 
     rule: str  # "r-comm" | "t-conditional" | "f-conditional"
     line: str
@@ -45,6 +48,7 @@ class Step:
     target: str = ""
     label: str | None = None
     value: S.Expr | None = None
+    summand: int | None = None
 
     def __str__(self) -> str:
         return self.line
@@ -152,13 +156,16 @@ def _successors(m: S.Session) -> list[tuple[Step, S.Session]]:
             if not summands:
                 continue
             values = _values(proc.payload)
-            for summand in summands:
+            numbered = len(summands) > 1
+            for k, summand in enumerate(summands, 1):
+                number = k if numbered else None
+                tag = f" #{k}" if numbered else ""
                 for text, v in values:
                     body = S.subst(summand.body, S.Var(summand.var), v)
                     step = Step("r-comm",
-                                f"{role} --{proc.label}({text})--> {proc.partner}",
+                                f"{role} --{proc.label}({text})--> {proc.partner}{tag}",
                                 source=role, target=proc.partner,
-                                label=proc.label, value=v)
+                                label=proc.label, value=v, summand=number)
                     out.append((step, successor({role: proc.body,
                                                  proc.partner: body})))
     return out

@@ -22,13 +22,11 @@ disagreement as an internal error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import syntax as S
 from .errors import InternalError, NotDerivable
 from .exprs import subsort
-
-Prefix = (S.TIn, S.TOut)
 
 
 # --------------------------------------------------------------------------

@@ -359,10 +359,6 @@ class Session(_Shown):
         return dict(self.parts)
 
 
-def session(entries: dict[str, "Process"]) -> Session:
-    return Session(tuple(sorted(entries.items())))
-
-
 # --------------------------------------------------------------------------
 # Session types
 # --------------------------------------------------------------------------
@@ -613,14 +609,9 @@ def regular_tree_equal(a, b) -> bool:
         if key in assumed:
             return True
         assumed.add(key)
-        if isinstance(x, TIn) and isinstance(y, TIn):
-            return x.sender == y.sender and _branches_eq(x.branches, y.branches)
-        if isinstance(x, TOut) and isinstance(y, TOut):
-            return x.receiver == y.receiver and _branches_eq(x.branches, y.branches)
-        if isinstance(x, GComm) and isinstance(y, GComm):
-            return (x.sender == y.sender and x.receiver == y.receiver
-                    and _branches_eq(x.branches, y.branches))
-        return False
+        return (type(x) is type(y) and isinstance(x, (TIn, TOut, GComm))
+                and x._roles(x) == y._roles(y)
+                and _branches_eq(x.branches, y.branches))
 
     def _branches_eq(bs, cs) -> bool:
         if len(bs) != len(cs):

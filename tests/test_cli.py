@@ -1,5 +1,6 @@
 """Command line interface: exit codes, printed output, and JSON mode."""
 
+import ast
 import contextlib
 import io
 import json
@@ -577,3 +578,20 @@ def test_every_module_compiles_with_warnings_as_errors():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(), str(path), "exec")
+
+
+def test_every_imported_name_is_used():
+    package = pathlib.Path(mpst.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "annotations" and name not in used:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []

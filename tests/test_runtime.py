@@ -172,6 +172,19 @@ class TestStuckSearch:
         assert step_all(state) == []
         assert not is_terminated(state)
 
+    def test_trace_names_the_summand_that_fired(self):
+        # Two summands offer `l`; only the first leads to a stuck state.
+        m = M("@p q!l(1).0 || @q p?l(x).p!m(true).0 + p?l(y).0")
+        report = stuck_search(m, 100)
+        assert report.verdict == "stuckFound"
+        assert [st.line for st in report.trace] == ["p --l(1)--> q #1"]
+        assert [st.summand for st in report.trace] == [1]
+        by_line = by_step = canonicalize(m)
+        for st in report.trace:
+            by_line = {s.line: m2 for s, m2 in step_all(by_line)}[st.line]
+            by_step = dict(step_all(by_step))[st]
+        assert by_line == by_step == report.state
+
     def test_fuel_exhaustion_is_reported(self):
         report = stuck_search(load_session("adder.mps"), 3)
         assert report.verdict == "diverged"

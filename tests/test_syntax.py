@@ -114,6 +114,40 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_session_type("p?l(float).end")
 
+    @pytest.mark.parametrize("category, src, message", [
+        ("process", "if true tehn 0 else 0",
+         "1:9: expected keyword 'then', got 'tehn'"),
+        ("sessiontype", "p?l(nat", "1:8: expected ')', got 'end of input'"),
+        ("sessiontype", "p?(nat).end", "1:3: expected a label, got '('"),
+        ("process", "q?l(1).0", "1:5: expected a variable, got '1'"),
+        ("sessiontype", "mu .end", "1:4: expected a recursion variable, got '.'"),
+        ("globaltype", "p -> : l(nat)", "1:6: expected a participant, got ':'"),
+        ("process", "q!l().0", "1:5: expected an expression, got ')'"),
+        ("process", "q!l(1).)", "1:8: expected a process, got ')'"),
+        ("sessiontype", "p?l(nat).?", "1:10: expected a session type, got '?'"),
+        ("sessiontype", "p?l(float).end",
+         "1:5: expected a sort (nat, int or bool), got 'float'"),
+        ("globaltype", "p -> q : l(nat).!", "1:17: expected a global type, got '!'"),
+        ("sessiontype", "end end", "1:5: trailing input, got 'end'"),
+        ("sessiontype", "p?a(nat).end &\n  p?b(nat).end \\/ p!c(nat).end",
+         "2:16: cannot mix '&' and '\\/' without parentheses, got '\\\\/'"),
+        ("sessiontype", "mu t.p?a(nat).end & p!b(nat).end",
+         "1:6: every member of an intersection must be an input prefix"),
+        ("sessiontype", "(p!a(nat).end \\/ p?b(nat).end)",
+         "1:2: every member of a union must be an output prefix"),
+        ("sessiontype", "p?a(nat).end & q?b(nat).end",
+         "1:1: intersection members must share one partner, got ['p', 'q']"),
+        ("sessiontype", "  p!a(nat).end \\/ q!b(nat).end",
+         "1:3: union members must share one partner, got ['p', 'q']"),
+        ("session", "@p 0 ||\n@p 0", "2:2: participant 'p' listed twice"),
+        ("expr", "succ " + "9" * 4400, "1:6: number too long"),
+        ("expr", "x (+)\n  $", "2:3: unexpected character '$'"),
+    ])
+    def test_every_parse_error_message(self, category, src, message):
+        with pytest.raises(ParseError) as exc:
+            parse(src, category)
+        assert str(exc.value) == message
+
 
 class TestConstructorInvariants:
     def test_duplicate_labels_rejected(self):
