@@ -7,7 +7,9 @@ entry stands in when everyone has terminated.  Two congruent sessions map to
 the same canonical state, which is what lets the search deduplicate.  The
 search canonicalises its start state once; after that a successor
 re-canonicalises only the entries its step changed and keeps the others,
-which are canonical already.
+which are canonical already.  The search expands one partner-closed group
+of roles per state (a partial-order reduction, argued in `stuck_search`);
+`step_all` and `run` see every step.
 
 Reduction follows the synchronous rules literally: a communication fires only
 when the sender's entire process is an output and the receiver's is an input
@@ -82,13 +84,15 @@ def _canon_proc(p: S.Process) -> S.Process:
 def _state(kept, changed) -> S.Session:
     """The canonical session of the canonical entries `kept` and the
     entries `changed`, which are canonicalised here: terminated ones drop
-    out, and the sentinel stands in when no entry is left."""
+    out, and the sentinel stands in when no entry is left.  The entries
+    come from a validated session, and reduction and canonicalisation name
+    no new participant, so the session is built without re-validating."""
     entries = list(kept)
     for role, proc in changed:
         cp = _canon_proc(proc)
         if not isinstance(cp, S.Inact):
             entries.append((role, cp))
-    return S.Session(tuple(entries) or (("_", S.Inact()),))
+    return S.Session.trusted(entries or (("_", S.Inact()),))
 
 
 def canonicalize(m: S.Session) -> S.Session:
@@ -128,13 +132,18 @@ def step_all(m: S.Session) -> list[tuple[Step, S.Session]]:
 
 def _successors(m: S.Session) -> list[tuple[Step, S.Session]]:
     """Every one-step successor of the canonical state m."""
+    return [(step, _successor(m, step, proc, summand))
+            for step, proc, summand in _moves(m)]
+
+
+def _moves(m: S.Session) -> list[tuple[Step, S.Process, S.Input | None]]:
+    """Every step of the canonical state m, in trace order, as a triple
+    (step, proc, summand): `proc` is what the step's source continues as
+    (the conditional's branch, or the sender's continuation) and `summand`
+    is the receiver's summand that fires, or None for a conditional.  No
+    successor state is built here; `_successor` builds one."""
     mapping = dict(m.parts)
-    out: list[tuple[Step, S.Session]] = []
-
-    def successor(changes: dict) -> S.Session:
-        kept = [(r, p) for r, p in m.parts if r not in changes]
-        return _state(kept, changes.items())
-
+    out: list[tuple[Step, S.Process, S.Input | None]] = []
     for role, proc in m.parts:
         if isinstance(proc, S.Cond):
             for text, v in _values(proc.guard):
@@ -144,7 +153,7 @@ def _successors(m: S.Session) -> list[tuple[Step, S.Session]]:
                 rule = "t-conditional" if v.value else "f-conditional"
                 step = Step(rule, f"{role} --if({text})--> {role}",
                             source=role, target=role, value=v)
-                out.append((step, successor({role: branch})))
+                out.append((step, branch, None))
         elif isinstance(proc, S.Output):
             receiver = mapping.get(proc.partner)
             if receiver is None:
@@ -161,14 +170,57 @@ def _successors(m: S.Session) -> list[tuple[Step, S.Session]]:
                 number = k if numbered else None
                 tag = f" #{k}" if numbered else ""
                 for text, v in values:
-                    body = S.subst(summand.body, S.Var(summand.var), v)
                     step = Step("r-comm",
                                 f"{role} --{proc.label}({text})--> {proc.partner}{tag}",
                                 source=role, target=proc.partner,
                                 label=proc.label, value=v, summand=number)
-                    out.append((step, successor({role: proc.body,
-                                                 proc.partner: body})))
+                    out.append((step, proc.body, summand))
     return out
+
+
+def _successor(m: S.Session, step: Step, proc: S.Process,
+               summand: S.Input | None) -> S.Session:
+    """The state the move (step, proc, summand) of `_moves(m)` leads to."""
+    changes = {step.source: proc}
+    if summand is not None:
+        changes[step.target] = S.subst(summand.body, S.Var(summand.var),
+                                       step.value)
+    kept = [(r, p) for r, p in m.parts if r not in changes]
+    return _state(kept, changes.items())
+
+
+def _partners(p: S.Process | None) -> tuple[str, ...]:
+    """The roles the head of the canonical process p can communicate with:
+    the partner of an output or input, every partner the summands of an
+    external choice name, and none for anything else."""
+    if isinstance(p, (S.Input, S.Output)):
+        return (p.partner,)
+    if isinstance(p, S.ExtChoice):
+        return tuple(q.partner for q in p.branches
+                     if isinstance(q, (S.Input, S.Output)))
+    return ()
+
+
+def _persistent(m: S.Session, moves: list) -> list:
+    """The moves of one partner-closed group of roles of the canonical
+    state m: a group starts from one role and adds the partners named by
+    each member's head until no new one comes.  Of the groups grown from
+    the source of some move, the one with the fewest moves is chosen, ties
+    going to the first starting role in canonical order."""
+    heads = dict(m.parts)
+    best = None
+    for role in dict.fromkeys(move[0].source for move in moves):
+        group = {role}
+        todo = [role]
+        while todo:
+            for partner in _partners(heads.get(todo.pop())):
+                if partner not in group:
+                    group.add(partner)
+                    todo.append(partner)
+        chosen = [move for move in moves if move[0].source in group]
+        if best is None or len(chosen) < len(best):
+            best = chosen
+    return best
 
 
 def stuck_search(m: S.Session, fuel: int) -> StuckReport:
@@ -179,6 +231,40 @@ def stuck_search(m: S.Session, fuel: int) -> StuckReport:
     acyclic) graph was explored without one; noStuckWithinFuel when the
     explored graph has a cycle, so runs exist that never terminate but none
     gets stuck; diverged when fuel ran out first.
+
+    The search expands, at each state, only the steps of one partner-closed
+    group of roles (`_persistent`), and builds no successor for the others.
+    This is a partial-order reduction with persistent sets (Godefroid,
+    LNCS 1032, 1996), and it keeps every verdict and trace length:
+
+      * A step changes only the entries of its source and target.
+      * A step of a role in the group involves only roles in the group: a
+        sender's receiver is the partner its head names, and a receiver's
+        sender is the partner its input choice names.  Until a step of the
+        group fires, steps outside the group leave the group's entries
+        alone, so they can neither enable nor disable a step of the group,
+        and each commutes with every step of the group.  The group's steps
+        are therefore a persistent set.
+      * Persistent sets keep every reachable terminal state (stuck or
+        terminated), at the same trace length: a trace to it must contain
+        a step of the group, or that step would still be enabled at the
+        end; moving the first such step to the front reorders the same
+        multiset of steps, and repeating this from each successor gives a
+        trace of the same length in the reduced graph.  So the shortest
+        stuck trace keeps its length, though it may be another
+        interleaving, or end in another stuck state at that depth.
+      * Persistent sets keep the existence of an infinite run: moving the
+        run's first step of the group to the front, or, if it has none,
+        prefixing any step of the group, gives an infinite run from a
+        successor in the reduced graph.  The reduced graph is finite, so
+        that is the existence of a cycle, and the reduced graph is a
+        subgraph of the full one, so it has a cycle only if the full one
+        does.
+
+    Together these keep stuckFound with a shortest trace and the split
+    between terminated and noStuckWithinFuel, with no cycle proviso.  Fuel
+    counts the states of the reduced graph, so with the same fuel a search
+    may reach a definite verdict where the full one would have diverged.
     """
     if not isinstance(fuel, int) or fuel <= 0:
         raise FuelMisuse(f"fuel must be a positive integer, got {fuel!r}")
@@ -195,12 +281,13 @@ def stuck_search(m: S.Session, fuel: int) -> StuckReport:
         if is_terminated(state):
             edges[state] = []
             continue
-        succs = _successors(state)
-        if not succs:
+        moves = _moves(state)
+        if not moves:
             return StuckReport("stuckFound", _trace_to(parents, state),
                                state, explored)
         edges[state] = []
-        for step, nxt in succs:
+        for step, proc, summand in _persistent(state, moves):
+            nxt = _successor(state, step, proc, summand)
             edges[state].append(nxt)
             if nxt not in parents:
                 parents[nxt] = (state, step)

@@ -118,9 +118,11 @@ class _Term:
         cls._roles = staticmethod(_getter(cls._names))
 
     def __getstate__(self) -> dict:
-        # String hashes differ between interpreters, so a pickled or copied
-        # term leaves its cached hash behind.
-        return {k: v for k, v in vars(self).items() if k != "_hash"}
+        # A pickled or copied term keeps its fields and leaves every cached
+        # fact behind: string hashes differ between interpreters, and a
+        # variable's free variables and a binder's unfolding contain the
+        # node itself, which unpickling would hash before its fields are set.
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
 
 
 class _Shown(_Term):
@@ -220,9 +222,11 @@ def int_literal(value: int) -> Expr:
 
 
 class _Mu(_Shown):
-    """The recursion binders Rec, TRec and GRec: fields `var` and `body`."""
+    """The recursion binders Rec, TRec and GRec: fields `var` and `body`.
+    A binder caches its one-step unfolding in `_unfolded` (see `unfold`)."""
 
     _kids = ("body",)
+    _unfolded = None
 
     def __post_init__(self) -> None:
         self._binds(self.var)  # validates the name
@@ -357,6 +361,15 @@ class Session(_Shown):
 
     def mapping(self) -> dict[str, "Process"]:
         return dict(self.parts)
+
+    @classmethod
+    def trusted(cls, parts: Iterable[tuple[str, "Process"]]) -> "Session":
+        """The session of `parts`, sorted, without the checks of
+        `__post_init__`.  Only for entries known to keep its invariants,
+        such as the entries of a session a reduction step came from."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "parts", tuple(sorted(parts)))
+        return m
 
 
 # --------------------------------------------------------------------------
@@ -577,8 +590,15 @@ def subst(t, var, repl):
 
 def unfold(t):
     """One-step unfolding of a top-level recursion binder; anything else is
-    returned unchanged."""
-    return subst(t.body, t._binds(t.var), t) if isinstance(t, _Mu) else t
+    returned unchanged.  The unfolding is computed once per binder node and
+    cached on it, so unfolding the same node again gives the same object."""
+    if not isinstance(t, _Mu):
+        return t
+    found = t._unfolded
+    if found is None:
+        found = subst(t.body, t._binds(t.var), t)
+        object.__setattr__(t, "_unfolded", found)
+    return found
 
 
 def unfold_spine(t):

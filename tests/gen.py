@@ -4,6 +4,7 @@ Everything takes an explicit random.Random so failures reproduce from the
 seed written in the test.
 """
 
+from mpst import decide
 from mpst import syntax as S
 
 SORTS = (S.Sort.NAT, S.Sort.INT, S.Sort.BOOL)
@@ -201,3 +202,17 @@ def gen_process(rng, depth, roles=ROLES, labels=LABELS, vars=(),
                             tuple(set(vars) | {"x"}), allow_rec, inner))
         for lab in chosen)
     return S.ExtChoice(summands)
+
+
+def refuted_pairs(rng, count, tries):
+    """Up to `count` pairs of random session types of depth <= 4 that
+    `decide` refutes (nleq), from at most `tries` draws of a pair."""
+    found = []
+    for _ in range(tries):
+        if len(found) >= count:
+            break
+        a = gen_type(rng, rng.randint(0, 4))
+        b = gen_type(rng, rng.randint(0, 4))
+        if decide(a, b).relation == "nleq":
+            found.append((a, b))
+    return found

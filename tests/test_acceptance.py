@@ -161,20 +161,12 @@ def test_criterion_5_complementarity():
 
 def test_criterion_6_counterexamples_always_get_stuck():
     def body():
-        rng = random.Random(4242)
-        found = 0
-        for _ in range(2000):
-            if found >= 300:
-                break
-            a = gen.gen_type(rng, rng.randint(0, 4))
-            b = gen.gen_type(rng, rng.randint(0, 4))
-            if decide(a, b).relation != "nleq":
-                continue
+        pairs = gen.refuted_pairs(random.Random(4242), 300, 2000)
+        for a, b in pairs:
             report = stuck_search(counterexample_session(a, b), 10000)
             assert report.verdict == "stuckFound", (
                 f"{show(a)} vs {show(b)}: {report.verdict}")
-            found += 1
-        assert found >= 300, found
+        assert len(pairs) >= 300, len(pairs)
 
     _record(6, "300 random nleq pairs (depth <= 4) all yield counterexample"
                " sessions that are stuckFound within fuel 10000", body)

@@ -4,6 +4,7 @@ import gzip
 import json
 import pathlib
 import random
+from collections import deque
 
 import pytest
 
@@ -219,6 +220,41 @@ class TestStuckSearch:
         assert verdicts["terminated"] >= 2
 
 
+THREE_MESSAGES = "@r s!a(1).s!b(2).s!c(3).0 || @s r?a(x).r?b(y).r?c(z).0"
+
+
+class TestReduction:
+    """Sessions whose roles fall into independent groups.  The search
+    expands one group per state; verdicts and trace lengths are those of
+    the full search."""
+
+    @pytest.mark.parametrize("text, verdict, length", [
+        ("@p mu X.q!l(1).q?m(y).X || @q mu Y.p?l(x).p!m(x).Y"
+         " || @r s!a(1).0 || @s r?a(x).0", "noStuckWithinFuel", 0),
+        ("@p mu X.if true (+) false then q!l(1).X else q!e(1).0"
+         " || @q mu Y.(p?l(x).Y + p?e(x).0) || " + THREE_MESSAGES,
+         "noStuckWithinFuel", 0),
+        ("@p q!l(1).q!m(2).0 || @q p?l(x).p?n(y).0 || " + THREE_MESSAGES,
+         "stuckFound", 4),
+        ("@a b!x(1).0 || @b a?x(v).c!y(v).0 || @c b?y(w).0"
+         " || @d e!z(1).0 || @e d?z(u).0", "terminated", 0),
+    ], ids=["ping-pong beside an ending pair",
+            "loop-or-end conditional beside three messages",
+            "stuck pair beside three messages",
+            "chain of three beside a pair"])
+    def test_verdict_and_trace_length_are_kept(self, text, verdict, length):
+        report = stuck_search(M(text), 10000)
+        assert (report.verdict, len(report.trace)) == (verdict, length)
+        assert reference_search(M(text))[:2] == (verdict, length)
+
+    def test_independent_groups_are_not_interleaved(self):
+        m = M("@p q!l(1).q!m(2).0 || @q p?l(x).p?n(y).0 || " + THREE_MESSAGES)
+        report = stuck_search(m, 10000)
+        assert report.explored == 5
+        assert reference_search(m)[2] == 8
+        assert show(report.state) == "@p q!m(2).0 || @q p?n(y).0"
+
+
 def reference_step_all(m):
     """Successors as first written: apply a step's changes to every entry
     of the canonical state and canonicalise the whole session again."""
@@ -302,36 +338,127 @@ def test_successors_match_whole_session_canonicalisation():
     assert compared >= 500
 
 
+def reference_search(m):
+    """The full breadth-first search over `step_all`, with no reduction:
+    (verdict, length of a shortest stuck trace, states seen).  Fuel is not
+    modelled.  A cycle is whatever is left after repeatedly peeling off
+    states with no successor left."""
+    start = canonicalize(m)
+    depth = {start: 0}
+    edges = {}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        succs = [] if is_terminated(state) else [n for _, n in step_all(state)]
+        if not succs and not is_terminated(state):
+            return "stuckFound", depth[state], len(depth)
+        edges[state] = set(succs)
+        for n in succs:
+            if n not in depth:
+                depth[n] = depth[state] + 1
+                queue.append(n)
+    preds = {s: [] for s in edges}
+    for s, succs in edges.items():
+        for n in succs:
+            preds[n].append(s)
+    left = {s: len(succs) for s, succs in edges.items()}
+    sinks = [s for s, k in left.items() if k == 0]
+    peeled = 0
+    while sinks:
+        peeled += 1
+        for p in preds[sinks.pop()]:
+            left[p] -= 1
+            if left[p] == 0:
+                sinks.append(p)
+    verdict = "terminated" if peeled == len(edges) else "noStuckWithinFuel"
+    return verdict, 0, len(depth)
+
+
+EXPLORE_POOL = (pathlib.Path(__file__).parents[1]
+                / "bench" / "data" / "explore.jsonl.gz")
+
+
+def explore_pool():
+    """The items of the benchmark's explore pool, in file order."""
+    with gzip.open(EXPLORE_POOL, "rt", encoding="utf-8") as f:
+        return [json.loads(line)["item"] for line in f]
+
+
+def explore_session(item):
+    """The session an explore pool item stands for: the safe product, or
+    the counterexample session beside protocols that always end."""
+    if item[0] == "safe":
+        return parse_session(item[1])
+    cx = counterexample_session(parse_session_type(item[1]),
+                                parse_session_type(item[2]))
+    return Session(cx.parts + parse_session(item[3]).parts)
+
+
+def test_reduced_search_agrees_with_the_full_search():
+    pool = [explore_session(item) for item in explore_pool()[::8]]
+    corpus = [counterexample_session(a, b) for a, b in
+              gen.refuted_pairs(random.Random(4242), 300, 2000)]
+    assert len(pool) == 150 and len(corpus) == 300
+    for m in pool + corpus:
+        report = stuck_search(m, 10000)
+        verdict, length, _ = reference_search(m)
+        assert (report.verdict, len(report.trace)) == (verdict, length), show(m)
+        if verdict == "stuckFound":
+            state = canonicalize(m)
+            for st in report.trace:
+                state = dict(step_all(state))[st]
+            assert state == report.state
+            assert step_all(state) == []
+            assert not is_terminated(state)
+
+
+def test_trusted_states_equal_validated_sessions():
+    checked = 0
+    for item in explore_pool()[::100]:
+        start = canonicalize(explore_session(item))
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            state = frontier.pop()
+            assert state == Session(state.parts)
+            checked += 1
+            for _, nxt in step_all(state):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    assert checked >= 1000
+
+
 # The first item of each of the 24 strata of the benchmark's explore pool
 # (ranked by kind, then state bound, as the explore workload cuts it) and
 # its (verdict, explored, trace length) under stuck_search with fuel 10000.
-EXPLORE_POOL = (pathlib.Path(__file__).parents[1]
-                / "bench" / "data" / "explore.jsonl.gz")
+# `explored` counts the states of the reduced graph, one group of roles
+# expanded per state; the full graph had 48 to 225 states per item.
 EXPLORE_GOLDEN = [
-    ("noStuckWithinFuel", 48, 0),
-    ("terminated", 90, 0),
-    ("terminated", 102, 0),
-    ("terminated", 108, 0),
-    ("noStuckWithinFuel", 114, 0),
-    ("terminated", 120, 0),
-    ("terminated", 125, 0),
-    ("terminated", 126, 0),
-    ("terminated", 135, 0),
-    ("terminated", 144, 0),
-    ("noStuckWithinFuel", 150, 0),
-    ("terminated", 156, 0),
-    ("noStuckWithinFuel", 168, 0),
-    ("terminated", 175, 0),
-    ("terminated", 180, 0),
-    ("terminated", 198, 0),
-    ("terminated", 210, 0),
-    ("noStuckWithinFuel", 225, 0),
-    ("stuckFound", 11, 6),
-    ("stuckFound", 21, 5),
-    ("stuckFound", 21, 5),
-    ("stuckFound", 51, 9),
-    ("stuckFound", 66, 8),
-    ("stuckFound", 93, 8),
+    ("noStuckWithinFuel", 3, 0),
+    ("terminated", 14, 0),
+    ("terminated", 14, 0),
+    ("terminated", 14, 0),
+    ("noStuckWithinFuel", 7, 0),
+    ("terminated", 14, 0),
+    ("terminated", 13, 0),
+    ("terminated", 14, 0),
+    ("terminated", 13, 0),
+    ("terminated", 15, 0),
+    ("noStuckWithinFuel", 14, 0),
+    ("terminated", 17, 0),
+    ("noStuckWithinFuel", 12, 0),
+    ("terminated", 13, 0),
+    ("terminated", 15, 0),
+    ("terminated", 14, 0),
+    ("terminated", 16, 0),
+    ("noStuckWithinFuel", 13, 0),
+    ("stuckFound", 7, 6),
+    ("stuckFound", 7, 5),
+    ("stuckFound", 8, 5),
+    ("stuckFound", 11, 9),
+    ("stuckFound", 12, 8),
+    ("stuckFound", 22, 8),
 ]
 
 
@@ -343,13 +470,6 @@ def test_stuck_search_counts_on_the_explore_pool():
     size = len(ranked) // len(EXPLORE_GOLDEN)
     got = []
     for i in range(len(EXPLORE_GOLDEN)):
-        item = ranked[i * size]["item"]
-        if item[0] == "safe":
-            m = parse_session(item[1])
-        else:
-            cx = counterexample_session(parse_session_type(item[1]),
-                                        parse_session_type(item[2]))
-            m = Session(cx.parts + parse_session(item[3]).parts)
-        report = stuck_search(m, 10000)
+        report = stuck_search(explore_session(ranked[i * size]["item"]), 10000)
         got.append((report.verdict, report.explored, len(report.trace)))
     assert got == EXPLORE_GOLDEN

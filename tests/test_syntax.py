@@ -234,6 +234,20 @@ class TestHelpers:
         t = parse_session_type("mu t.p!l(nat).t")
         assert show(unfold(t)) == "p!l(nat).(mu t.p!l(nat).t)"
 
+    def test_unfold_is_computed_once_per_binder(self):
+        for t in (parse_session_type("mu t.p!l(nat).t"),
+                  parse_process("mu X.q!l(1).X"),
+                  parse_global_type("mu t.p -> q : l(nat).t")):
+            assert unfold(t) is unfold(t)
+            assert unfold_spine(t) is unfold(t)
+
+    def test_unfold_cache_is_not_pickled(self):
+        t = parse_session_type("mu t.p!l(nat).q?m(int).t")
+        first = unfold(t)
+        for clone in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert clone == t and clone._unfolded is None
+            assert unfold(clone) == first and unfold(clone) is not first
+
     def test_unfold_spine_crosses_nested_binders(self):
         t = parse_session_type("mu a.mu b.p!l(nat).a")
         assert show(unfold_spine(t)) == "p!l(nat).(mu a.mu b.p!l(nat).a)"
@@ -338,6 +352,15 @@ class TestCachedHash:
             assert clone == t and clone._hash is None
             assert clone.parts[0][1]._hash is None
             assert hash(clone) == hash(t)
+
+    def test_cached_facts_are_not_pickled(self):
+        m = parse_session("@p mu X.q!l(1).X || @q mu Y.p?l(x).Y")
+        for node in (m, S.Var("x"), S.ProcVar("X")):
+            free_vars(node)
+            participants_of(node)
+            clone = pickle.loads(pickle.dumps(node))
+            assert clone == node and clone._free is None
+            assert clone._parts is None
 
     def test_variables_of_different_categories_differ(self):
         assert S.Var("x") != S.ProcVar("x")
