@@ -216,3 +216,15 @@ def refuted_pairs(rng, count, tries):
         if decide(a, b).relation == "nleq":
             found.append((a, b))
     return found
+
+
+def subtype_pairs(rng, count):
+    """Criterion 5's stream of `count` pairs: a type of depth <= 5 and, with
+    probability 0.4, a supertype of it, else another such type."""
+    for _ in range(count):
+        a = gen_type(rng, rng.randint(0, 5))
+        if rng.random() < 0.4:
+            b = gen_supertype(rng, a)
+        else:
+            b = gen_type(rng, rng.randint(0, 5))
+        yield a, b

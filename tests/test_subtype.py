@@ -1,5 +1,6 @@
 """Subtyping: the coinductive checker, the inductive negation, and decide."""
 
+import hashlib
 import random
 import sys
 
@@ -102,6 +103,14 @@ class TestSub:
             b = gen.gen_supertype(rng, a)
             c = gen.gen_supertype(rng, b)
             assert sub(a, c)
+
+    def test_open_types(self):
+        # Free type variables are rigid: each is related only to itself.
+        assert sub(T("p!l(nat).t"), T("p!l(nat).t"))
+        assert sub(T("t"), T("t"))
+        assert sub(T("mu s.p!l(nat).t"), T("p!l(nat).t"))
+        assert not sub(T("t"), T("s"))
+        assert not sub(T("end"), T("t"))
 
     def test_memo_stays_within_the_closure_product(self):
         sizes = []
@@ -254,3 +263,17 @@ class TestDecide:
                 assert rules_of(v.derivation) <= RULES
         assert leq >= 400
         assert nleq >= 400
+
+
+def test_verdicts_and_derivations_on_the_criterion_5_stream():
+    """A golden digest of `sub`'s verdict and `nsub`'s rendered derivation
+    (or "≤") on the first 2 000 pairs of criterion 5's stream."""
+    digest = hashlib.sha256()
+    for a, b in gen.subtype_pairs(random.Random(20260816), 2000):
+        try:
+            text = format_derivation(nsub(a, b))
+        except NotDerivable:
+            text = "≤"
+        digest.update(f"{sub(a, b)}\n{text}\n\n".encode())
+    assert digest.hexdigest() == (
+        "e3364eb5fecd71b06744f63bd4df37b902490bca8a6a30f347aea862478f2da0")
