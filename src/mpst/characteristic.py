@@ -167,7 +167,8 @@ def preciseness_check(t: S.SessionType, tp: S.SessionType,
     session = counterexample_session(t, tp, p)
 
     if verdict.relation == "leq":
-        check_session(counterexample_session(tp, tp, p), char_global(tp, p))
+        typed = {**session.mapping(), p: char_proc(tp)}
+        check_session(S.Session(tuple(typed.items())), char_global(tp, p))
         report = stuck_search(session, fuel)
         if report.verdict == "stuckFound":
             return PrecisenessReport(

@@ -127,11 +127,7 @@ def _values(e: S.Expr) -> list[tuple[str, S.Expr]]:
 
 def step_all(m: S.Session) -> list[tuple[Step, S.Session]]:
     """Every one-step successor of the canonical form of m."""
-    return _successors(canonicalize(m))
-
-
-def _successors(m: S.Session) -> list[tuple[Step, S.Session]]:
-    """Every one-step successor of the canonical state m."""
+    m = canonicalize(m)
     return [(step, _successor(m, step, proc, summand))
             for step, proc, summand in _moves(m)]
 
@@ -335,9 +331,10 @@ def _has_cycle(edges: dict) -> bool:
 
 
 def run(m: S.Session, fuel: int) -> StuckReport:
-    """Walk one maximal reduction path, taking the first successor in trace
-    order at each state.  Reports terminated, stuckFound (of this path),
-    or diverged when fuel steps were taken without finishing."""
+    """Walk one maximal reduction path, taking the first step in trace
+    order at each state and building only its successor.  Reports
+    terminated, stuckFound (of this path), or diverged when fuel steps were
+    taken without finishing."""
     if not isinstance(fuel, int) or fuel <= 0:
         raise FuelMisuse(f"fuel must be a positive integer, got {fuel!r}")
     state = canonicalize(m)
@@ -345,10 +342,11 @@ def run(m: S.Session, fuel: int) -> StuckReport:
     for _ in range(fuel):
         if is_terminated(state):
             return StuckReport("terminated", tuple(steps), state, len(steps))
-        succs = _successors(state)
-        if not succs:
+        moves = _moves(state)
+        if not moves:
             return StuckReport("stuckFound", tuple(steps), state, len(steps))
-        step, state = min(succs, key=lambda sn: sn[0].line)
+        step, proc, summand = min(moves, key=lambda move: move[0].line)
+        state = _successor(state, step, proc, summand)
         steps.append(step)
     if is_terminated(state):
         return StuckReport("terminated", tuple(steps), state, len(steps))

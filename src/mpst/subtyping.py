@@ -1,10 +1,11 @@
 """Subtyping: the coinductive decision procedure and its inductive negation.
 
 `sub` implements the standard memoised procedure: a goal already assumed on
-the current path is granted (coinduction), equal regular trees are related,
-and otherwise input intersections compare with label superset on the left and
-contravariant sorts, output unions with label subset on the left and
-covariant sorts.
+the current path is granted (coinduction), `end` and a free type variable are
+related only to themselves, input intersections compare with label superset
+on the left and contravariant sorts, and output unions with label subset on
+the left and covariant sorts.  Equal trees need no shortcut: the assumptions
+and these rules relate them.
 
 `nsub` searches for an inductive derivation that the pair is *not* in the
 subtyping relation, using a fixed rule vocabulary (nsub-endL, nsub-endR,
@@ -16,8 +17,8 @@ against a single input whose label it does not offer.  Cycles are cut per
 path: a minimal derivation never repeats a judgment along a branch, so
 refusing repeats loses nothing.
 
-The two procedures never consult each other; `decide` runs both and treats
-disagreement as an internal error.
+The two procedures never consult each other, nor regular-tree equality;
+`decide` runs both and treats disagreement as an internal error.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ def sub(a: S.SessionType, b: S.SessionType) -> bool:
 def _sub(a: S.SessionType, b: S.SessionType, theta: frozenset) -> bool:
     a = S.unfold_spine(a)
     b = S.unfold_spine(b)
-    if (a, b) in theta:
+    if a is b or (a, b) in theta:
         return True
-    if S.regular_tree_equal(a, b):
-        return True
+    if isinstance(a, (S.TEnd, S.TVar)):
+        return a == b
     if isinstance(a, S.TIn) and isinstance(b, S.TIn) and a.sender == b.sender:
         left = {br.label: br for br in a.branches}
         if not all(br.label in left and subsort(br.sort, left[br.label].sort)
@@ -118,7 +119,7 @@ def nsub(a: S.SessionType, b: S.SessionType) -> NsubDerivation:
         return found
 
     def _dispatch(x, y, visited: frozenset) -> NsubDerivation | None:
-        if S.regular_tree_equal(x, y):
+        if x is y:
             return None
         x_end = isinstance(x, S.TEnd)
         y_end = isinstance(y, S.TEnd)

@@ -193,6 +193,19 @@ class TestPreciseness:
             with pytest.raises(InternalError):
                 preciseness_check(T(t), T("p!l(nat).end"))
 
+    def test_each_role_is_projected_once(self, monkeypatch):
+        projected = []
+
+        def counting(g, role):
+            projected.append(role)
+            return project(g, role)
+
+        monkeypatch.setattr("mpst.characteristic.project", counting)
+        t = T(fixture_text("ex1_T.mpst"))
+        report = preciseness_check(t, t)
+        assert (report.relation, report.ok) == ("leq", True)
+        assert projected == ["q", "r"]
+
     def test_random_pairs_are_never_refuted(self):
         rng = random.Random(705)
         relations = {"leq": 0, "nleq": 0}

@@ -4,8 +4,11 @@ import ast
 import contextlib
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import warnings
 from importlib import resources
 
@@ -435,6 +438,18 @@ class TestMalformedInput:
             assert out == ""
             assert err == "error: input nests too deeply\n"
 
+    def test_deep_chain_is_a_subtype_of_itself(self, tmp_path):
+        # A fresh interpreter, at Python's default recursion limit.
+        source = tmp_path / "chain.mpst"
+        source.write_text("p!l(nat)." * 200 + "end")
+        src = str(pathlib.Path(mpst.__file__).parent.parent)
+        env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "mpst", "subtype", str(source), str(source)],
+            capture_output=True, encoding="utf-8", env=env, check=False)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "≤\n", "")
 
     @pytest.mark.parametrize("name, text, argv, message", [
         ("letter.mpst", "pé!l(nat).end", ("parse",),

@@ -9,6 +9,7 @@ from collections import deque
 import pytest
 
 import gen
+import mpst.runtime
 from conftest import fixture_text
 from mpst import (
     FuelMisuse,
@@ -121,6 +122,16 @@ class TestRun:
         report = run(load_session("adder_mismatch.mps"), 100)
         assert report.verdict == "stuckFound"
         assert report.trace == ()
+
+    def test_run_builds_only_the_successor_it_takes(self, monkeypatch):
+        built = []
+        real = mpst.runtime._successor
+        monkeypatch.setattr("mpst.runtime._successor",
+                            lambda *move: built.append(move) or real(*move))
+        report = run(parse_session(
+            "@p q!l(1).0 || @q p?l(x).0 || @r s!m(2).0 || @s r?m(y).0"), 10)
+        assert report.verdict == "terminated"
+        assert len(built) == len(report.trace) == 2
 
     def test_run_exhausts_fuel_on_loops(self):
         report = run(load_session("adder.mps"), 20)

@@ -1,8 +1,10 @@
 """Subtyping: the coinductive checker, the inductive negation, and decide."""
 
+import dataclasses
 import hashlib
 import random
 import sys
+from importlib import resources
 
 import pytest
 
@@ -23,17 +25,99 @@ from mpst import syntax as S
 
 T = parse_session_type
 
-RULES = {
-    "nsub-endL", "nsub-endR", "nsub-diff-part", "nsub-out-in", "nsub-in-out",
-    "nsub-in-in", "nsub-out-out", "nsub-intR", "nsub-uniL", "nsub-intL-uniR",
-}
+# 200 prefixes: deeper than a structural equality of two parses can go at
+# Python's default recursion limit (141), shallower than hashing one (248).
+CHAIN = "p!l(nat)." * 200
 
 
-def rules_of(d):
-    out = {d.rule}
+# --------------------------------------------------------------------------
+# An independent checker of refutations
+# --------------------------------------------------------------------------
+
+SUBSORTS = {(s, s) for s in S.Sort} | {(S.Sort.NAT, S.Sort.INT)}
+
+
+def members(t):
+    """The single-branch members of an intersection or union."""
+    if isinstance(t, S.TIn):
+        return [S.TIn(t.sender, (br,)) for br in t.branches]
+    return [S.TOut(t.receiver, (br,)) for br in t.branches]
+
+
+def prefix(t, kind):
+    return isinstance(t, kind) and len(t.branches) == 1
+
+
+def role(t):
+    return t.sender if isinstance(t, S.TIn) else t.receiver
+
+
+def premises(rule, x, y):
+    """The premise lists under which `rule` concludes that x is not a
+    subtype of y, one list per instance: none when the rule does not apply
+    to that shape, several for intR and uniL, which take any one member."""
+    prefixes = (S.TIn, S.TOut)
+    if rule == "nsub-endL":
+        return [[]] if isinstance(x, prefixes) and isinstance(y, S.TEnd) else []
+    if rule == "nsub-endR":
+        return [[]] if isinstance(x, S.TEnd) and isinstance(y, prefixes) else []
+    if rule == "nsub-diff-part":
+        ok = prefix(x, prefixes) and prefix(y, prefixes) and role(x) != role(y)
+        return [[]] if ok else []
+    if rule == "nsub-out-in":
+        return [[]] if prefix(x, S.TOut) and prefix(y, S.TIn) else []
+    if rule == "nsub-in-out":
+        return [[]] if prefix(x, S.TIn) and prefix(y, S.TOut) else []
+    if rule in ("nsub-in-in", "nsub-out-out"):
+        kind = S.TIn if rule == "nsub-in-in" else S.TOut
+        if not (prefix(x, kind) and prefix(y, kind) and role(x) == role(y)):
+            return []
+        bx, by = x.branches[0], y.branches[0]
+        sorts = (by.sort, bx.sort) if kind is S.TIn else (bx.sort, by.sort)
+        if bx.label != by.label or sorts not in SUBSORTS:
+            return [[]]
+        return [[(bx.cont, by.cont)]]
+    if rule == "nsub-intR" and isinstance(y, S.TIn) and len(y.branches) >= 2:
+        return [[(x, m)] for m in members(y)]
+    if rule == "nsub-uniL" and isinstance(x, S.TOut) and len(x.branches) >= 2:
+        return [[(m, y)] for m in members(x)]
+    if rule == "nsub-intL-uniR" and (
+            (isinstance(x, S.TIn) or prefix(x, S.TOut))
+            and (isinstance(y, S.TOut) or prefix(y, S.TIn))):
+        return [[(m, n) for m in members(x) for n in members(y)]]
+    return []
+
+
+def check_derivation(d, seen=None):
+    """Assert that d is a valid refutation, node by node, against the ten
+    rules named in mpst.subtyping: the shape of the unfolded left and right
+    types, the side condition on partner, label and sort (with this file's
+    own nat <= int table), and children that are exactly the rule's
+    premises, compared as regular trees.  It never asks sub, nsub or
+    decide."""
+    seen = set() if seen is None else seen
+    if id(d) in seen:
+        return
+    seen.add(id(d))
+    x, y = S.unfold_spine(d.left), S.unfold_spine(d.right)
+    instances = premises(d.rule, x, y)
+    assert instances, f"[{d.rule}] does not apply to {x} !<= {y}"
+    assert any(matches(d.children, pairs) for pairs in instances), (
+        f"[{d.rule}] {x} !<= {y}: the children are not its premises")
     for child in d.children:
-        out |= rules_of(child)
-    return out
+        check_derivation(child, seen)
+
+
+def matches(children, pairs):
+    return len(children) == len(pairs) and all(
+        S.regular_tree_equal(c.left, a) and S.regular_tree_equal(c.right, b)
+        for c, (a, b) in zip(children, pairs))
+
+
+def check_refutation(d, a, b):
+    """d refutes exactly the pair (a, b) and is valid."""
+    assert S.regular_tree_equal(d.left, a) and S.regular_tree_equal(d.right, b)
+    check_derivation(d)
 
 
 class TestSub:
@@ -260,9 +344,87 @@ class TestDecide:
             else:
                 nleq += 1
                 assert not sub(a, b)
-                assert rules_of(v.derivation) <= RULES
+                check_refutation(v.derivation, a, b)
         assert leq >= 400
         assert nleq >= 400
+
+    def test_neither_procedure_calls_regular_tree_equality(self):
+        entered = []
+
+        def tracer(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "regular_tree_equal":
+                entered.append(frame.f_code.co_name)
+            return None
+
+        src = "mu t.p!l1(nat).t \\/ p!l2(int).(mu s.q?m(bool).s & q?n(nat).t)"
+        a, b = T(src), T(src)
+        assert a is not b
+        old = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            assert sub(a, b)
+            with pytest.raises(NotDerivable):
+                nsub(a, b)
+        finally:
+            sys.settrace(old)
+        assert entered == []
+
+    def test_separately_parsed_deep_chains_are_related(self):
+        assert decide(T(CHAIN + "end"), T(CHAIN + "end")).relation == "leq"
+
+    def test_deep_chains_differing_in_the_last_label_are_refuted(self):
+        changed = "p!l(nat)." * 199 + "p!m(nat).end"
+        assert decide(T(CHAIN + "end"), T(changed)).relation == "nleq"
+
+
+def fixture_types():
+    names = sorted(p.name for p in
+                   resources.files("mpst").joinpath("fixtures").iterdir())
+    return [T(fixture_text(n)) for n in names if n.endswith(".mpst")]
+
+
+class TestDerivationChecker:
+    def test_every_refutation_of_the_fixtures_is_valid(self):
+        types = fixture_types()
+        refuted = 0
+        for a in types:
+            for b in types:
+                v = decide(a, b)
+                if v.relation == "nleq":
+                    check_refutation(v.derivation, a, b)
+                    refuted += 1
+        assert refuted == 108
+
+    @pytest.mark.parametrize("left, right", [
+        ("p!l1(nat).end \\/ p!l2(nat).end", "p!l1(nat).end"),
+        ("p?l1(nat).end", "p?l1(nat).end & p?l2(nat).end"),
+        ("p?l1(nat).end & p?l2(nat).end", "p!l1(nat).end"),
+        ("p?l(nat).p?m(nat).end", "p?l(nat).p?m(int).end"),
+    ])
+    def test_broken_derivations_are_rejected(self, left, right):
+        d = nsub(T(left), T(right))
+        check_derivation(d)
+        end = NsubDerivation("nsub-endR", T("end"), T("p!l(nat).end"))
+        broken = [
+            dataclasses.replace(d, rule="nsub-endL"),
+            dataclasses.replace(d, children=d.children[:-1]),
+            dataclasses.replace(d, children=d.children + (end,)),
+            dataclasses.replace(d, children=(end,) * len(d.children)),
+            dataclasses.replace(d, left=d.right, right=d.left),
+        ]
+        for bad in broken:
+            with pytest.raises(AssertionError):
+                check_derivation(bad)
+
+    def test_sort_side_conditions_use_their_own_table(self):
+        # Input sorts are contravariant: p?l(int).end <= p?l(nat).end, so
+        # no leaf refutes that pair, whatever its note says.
+        leaf = NsubDerivation("nsub-in-in", T("p?l(int).end"),
+                              T("p?l(nat).end"), note="forged")
+        with pytest.raises(AssertionError):
+            check_derivation(leaf)
+        check_derivation(NsubDerivation("nsub-in-in", T("p?l(nat).end"),
+                                        T("p?l(int).end")))
 
 
 def test_verdicts_and_derivations_on_the_criterion_5_stream():
