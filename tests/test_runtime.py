@@ -1,6 +1,7 @@
 """The synchronous interpreter: stepping, runs, and the stuck-state search."""
 
 import gzip
+import hashlib
 import json
 import pathlib
 import random
@@ -484,3 +485,24 @@ def test_stuck_search_counts_on_the_explore_pool():
         report = stuck_search(explore_session(ranked[i * size]["item"]), 10000)
         got.append((report.verdict, report.explored, len(report.trace)))
     assert got == EXPLORE_GOLDEN
+
+
+def test_outputs_on_the_whole_explore_pool():
+    """A golden digest of `stuck_search(m, 10000)` on every item of the
+    explore pool (verdict, explored count, trace lines and printed state)
+    and of `run(m, 200)` on every 4th item (verdict, step count and final
+    state)."""
+    digest = hashlib.sha256()
+    for i, item in enumerate(explore_pool()):
+        m = explore_session(item)
+        report = stuck_search(m, 10000)
+        state = "-" if report.state is None else show(report.state)
+        lines = "\n".join(st.line for st in report.trace)
+        digest.update(f"{report.verdict} {report.explored}\n{lines}\n"
+                      f"{state}\n\n".encode())
+        if i % 4 == 0:
+            walk = run(m, 200)
+            digest.update(f"{walk.verdict} {len(walk.trace)}\n"
+                          f"{show(walk.state)}\n\n".encode())
+    assert digest.hexdigest() == (
+        "dbf6f7f2bc61d926e8cea8f7a7f215ff117cfabc4eaadb150e5555fe293cdaba")
