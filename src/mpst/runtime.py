@@ -24,7 +24,7 @@ session gets stuck.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from . import syntax as S
@@ -67,17 +67,8 @@ class StuckReport:
 def _canon_proc(p: S.Process) -> S.Process:
     p = S.unfold_spine(p)
     if isinstance(p, S.ExtChoice):
-        flat: list[S.Process] = []
-        for q in p.branches:
-            qn = _canon_proc(q)
-            if isinstance(qn, S.ExtChoice):
-                flat.extend(qn.branches)
-            else:
-                flat.append(qn)
-        flat.sort(key=str)
-        if len(flat) == 1:
-            return flat[0]
-        return S.ExtChoice(tuple(flat))
+        flat = [q for b in p.branches for q in S.summands(_canon_proc(b))]
+        return S.ExtChoice(tuple(sorted(flat, key=str)))
     return p
 
 
@@ -102,21 +93,6 @@ def canonicalize(m: S.Session) -> S.Session:
 
 def is_terminated(m: S.Session) -> bool:
     return all(isinstance(p, S.Inact) for _, p in m.parts)
-
-
-def _input_offers(p: S.Process):
-    """The partner and the Input summands of an input choice, or None when
-    p is not an input choice."""
-    if isinstance(p, S.Input):
-        return p.partner, (p,)
-    if isinstance(p, S.ExtChoice):
-        if not all(isinstance(q, S.Input) for q in p.branches):
-            return None
-        partners = {q.partner for q in p.branches}
-        if len(partners) != 1:
-            return None
-        return partners.pop(), p.branches
-    return None
 
 
 def _values(e: S.Expr) -> list[tuple[str, S.Expr]]:
@@ -151,13 +127,11 @@ def _moves(m: S.Session) -> list[tuple[Step, S.Process, S.Input | None]]:
                             source=role, target=role, value=v)
                 out.append((step, branch, None))
         elif isinstance(proc, S.Output):
-            receiver = mapping.get(proc.partner)
-            if receiver is None:
+            offers = S.summands(mapping.get(proc.partner))
+            if not all(isinstance(q, S.Input) and q.partner == role
+                       for q in offers):
                 continue
-            offers = _input_offers(receiver)
-            if offers is None or offers[0] != role:
-                continue
-            summands = [q for q in offers[1] if q.label == proc.label]
+            summands = [q for q in offers if q.label == proc.label]
             if not summands:
                 continue
             values = _values(proc.payload)
@@ -185,16 +159,11 @@ def _successor(m: S.Session, step: Step, proc: S.Process,
     return _state(kept, changes.items())
 
 
-def _partners(p: S.Process | None) -> tuple[str, ...]:
+def _partners(p: S.Process | None) -> list[str]:
     """The roles the head of the canonical process p can communicate with:
-    the partner of an output or input, every partner the summands of an
-    external choice name, and none for anything else."""
-    if isinstance(p, (S.Input, S.Output)):
-        return (p.partner,)
-    if isinstance(p, S.ExtChoice):
-        return tuple(q.partner for q in p.branches
-                     if isinstance(q, (S.Input, S.Output)))
-    return ()
+    the partners its input and output summands name."""
+    return [q.partner for q in S.summands(p)
+            if isinstance(q, (S.Input, S.Output))]
 
 
 def _persistent(m: S.Session, moves: list) -> list:
@@ -295,39 +264,26 @@ def stuck_search(m: S.Session, fuel: int) -> StuckReport:
 
 def _trace_to(parents, state) -> tuple[Step, ...]:
     steps: list[Step] = []
-    cur = state
-    while parents[cur] is not None:
-        prev, step = parents[cur]
+    while parents[state] is not None:
+        state, step = parents[state]
         steps.append(step)
-        cur = prev
-    steps.reverse()
-    return tuple(steps)
+    return tuple(reversed(steps))
 
 
 def _has_cycle(edges: dict) -> bool:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {s: WHITE for s in edges}
-    for root in edges:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(edges[root]))]
-        color[root] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, BLACK)
-                if c == GRAY:
-                    return True
-                if c == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(edges[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return False
+    """Whether the state graph has a cycle.  Peel it: count the edges into
+    each state, then remove states with none left, with their out-edges; a
+    cycle is what cannot be removed."""
+    into = Counter(n for succs in edges.values() for n in succs)
+    free = [s for s in edges if not into[s]]
+    left = len(edges)
+    while free:
+        left -= 1
+        for n in edges[free.pop()]:
+            into[n] -= 1
+            if not into[n]:
+                free.append(n)
+    return left > 0
 
 
 def run(m: S.Session, fuel: int) -> StuckReport:

@@ -317,19 +317,17 @@ class Inact(_Shown):
 Process = Union[Input, Output, ExtChoice, Cond, Rec, ProcVar, Inact]
 
 
+def summands(p: "Process") -> tuple["Process", ...]:
+    """The summands of p: an external choice's branches, or p alone."""
+    return p.branches if isinstance(p, ExtChoice) else (p,)
+
+
 def ext_choice(branches: Iterable["Process"]) -> "Process":
     """Flatten nested choices; a single branch is the branch itself."""
-    flat: list[Process] = []
-    for b in branches:
-        if isinstance(b, ExtChoice):
-            flat.extend(b.branches)
-        else:
-            flat.append(b)
+    flat = [q for b in branches for q in summands(b)]
     if not flat:
         raise ValueError("empty external choice")
-    if len(flat) == 1:
-        return flat[0]
-    return ExtChoice(tuple(flat))
+    return flat[0] if len(flat) == 1 else ExtChoice(tuple(flat))
 
 
 # --------------------------------------------------------------------------

@@ -5,8 +5,9 @@ driven by the goal type's branches (each goal branch must be covered by a
 summand with that label; summands the goal does not mention only need to be
 typable at some type, which synthesis provides), outputs need their label in
 the goal union with a covariant payload sort, conditionals check both arms
-against the same goal, and process variables compare their binding against
-the goal by subtyping.
+against the same goal (once when both are one object, as `char_proc` builds
+them), and process variables compare their binding against the goal by
+subtyping.
 
 Synthesis reconstructs a minimal type: input sorts are guessed largest-first
 (int, then bool, then nat, since input sorts are contravariant), outputs take
@@ -21,17 +22,12 @@ import itertools
 from . import syntax as S
 from .errors import TypingError, UnguardedRecursion
 from .exprs import infer_sort, subsort
+from .global_types import project
 from .subtyping import sub
 
 
 def _fail(message: str, rule: str, path: tuple) -> TypingError:
     return TypingError(message, rule=rule, path=path)
-
-
-def _summands(p: S.Process) -> tuple[S.Process, ...]:
-    if isinstance(p, S.ExtChoice):
-        return p.branches
-    return (p,)
 
 
 def _input_summands(p: S.Process, path: tuple):
@@ -40,7 +36,7 @@ def _input_summands(p: S.Process, path: tuple):
     Every summand must be an input, all from one partner, labels pairwise
     distinct.
     """
-    parts = _summands(p)
+    parts = S.summands(p)
     for q in parts:
         if not isinstance(q, S.Input):
             raise _fail(f"summand {q} is not an input", "t-in-choice", path)
@@ -108,7 +104,8 @@ def check_process(gamma: dict, env: dict, p: S.Process, t: S.SessionType,
         if s is not S.Sort.BOOL:
             raise _fail(f"guard has sort {s}, not bool", "t-cond", path)
         check_process(gamma, env, p.then, t, path + ("then",))
-        check_process(gamma, env, p.orelse, t, path + ("else",))
+        if p.orelse is not p.then:
+            check_process(gamma, env, p.orelse, t, path + ("else",))
         return
 
     if isinstance(p, S.Rec):
@@ -165,7 +162,8 @@ def synthesize_process(gamma: dict, env: dict, p: S.Process,
         if s is not S.Sort.BOOL:
             raise _fail(f"guard has sort {s}, not bool", "t-cond", path)
         a = synthesize_process(gamma, env, p.then, path + ("then",))
-        b = synthesize_process(gamma, env, p.orelse, path + ("else",))
+        b = (a if p.orelse is p.then
+             else synthesize_process(gamma, env, p.orelse, path + ("else",)))
         return _join(a, b, path)
 
     if isinstance(p, S.Rec):
@@ -225,8 +223,6 @@ def _join(a: S.SessionType, b: S.SessionType, path: tuple) -> S.SessionType:
 
 def check_session(m: S.Session, g: S.GlobalType) -> None:
     """Check every member of m against its projection of g."""
-    from .global_types import project
-
     mapping = m.mapping()
     roles = S.participants_of(g)
     missing = sorted(roles - set(mapping))

@@ -206,6 +206,21 @@ class TestPreciseness:
         assert (report.relation, report.ok) == ("leq", True)
         assert projected == ["q", "r"]
 
+    def test_a_shared_conditional_arm_is_checked_once(self, monkeypatch):
+        # char_proc gives both arms of each input's probe one continuation;
+        # checking it once per arm doubled the work per input prefix.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return check_process(*args, **kwargs)
+
+        monkeypatch.setattr("mpst.typecheck.check_process", counting)
+        t = T("p!l(nat)." * 16 + "end")
+        report = preciseness_check(t, t)
+        assert (report.relation, report.ok) == ("leq", True)
+        assert len(calls) < 1000
+
     def test_random_pairs_are_never_refuted(self):
         rng = random.Random(705)
         relations = {"leq": 0, "nleq": 0}

@@ -610,3 +610,35 @@ def test_every_imported_name_is_used():
                     if name != "annotations" and name not in used:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_every_private_module_name_is_referenced():
+    """A module-level function, class or constant whose name starts with
+    `_` must be read somewhere in the package, outside its own body."""
+    package = pathlib.Path(mpst.__file__).parent
+    defined = []
+    referenced = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = [node.name]
+            elif isinstance(node, ast.Assign):
+                own = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                own = [node.target.id]
+            else:
+                own = []
+            defined += [(path.name, name) for name in own
+                        if name.startswith("_") and not name.startswith("__")]
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    name = n.id
+                elif isinstance(n, ast.Attribute):
+                    name = n.attr
+                else:
+                    continue
+                if name not in own:
+                    referenced.add(name)
+    unread = [f"{module}: {name}" for module, name in defined
+              if name not in referenced]
+    assert unread == []
