@@ -13,7 +13,9 @@ binder completes with result R we verify `R = T[t := R]` as regular trees and
 fail the projection otherwise.  This is the least fixpoint the equi-recursive
 reading demands, and it is what makes protocols in which a participant only
 acts in the exit branch of a loop projectable.  Merges not involving the
-pending variable are unchanged.
+pending variable are unchanged.  Obligations are keyed by variable name, so
+projection renames a binder as it enters it when the binder shadows a
+pending one or a free variable.
 
 Consumption of a communication action unfolds recursion binders as it
 descends, so the defined cases are the table's two clauses on the unfolded
@@ -68,12 +70,11 @@ def merge(a: S.SessionType, b: S.SessionType) -> S.SessionType:
 
 
 def project(g: S.GlobalType, role: str) -> S.SessionType:
-    """Project `g` onto `role`; raises ProjectionError when undefined."""
-    return _project(S.alpha_uniquify_global(g), role)
+    """Project `g` onto `role`; raises ProjectionError when undefined.
 
-
-def _project(g: S.GlobalType, role: str) -> S.SessionType:
-    """Projection of a global type whose binders are unique."""
+    A binder that shadows a pending one or a free variable of `g` is renamed
+    on entry, so on any path one name stands for one binder; binders that
+    reuse a name in sibling branches do not nest and keep it."""
     pending: dict[str, list[tuple[S.SessionType, tuple[str, ...]]]] = {}
 
     def go(u: S.GlobalType, path: tuple[str, ...]) -> S.SessionType:
@@ -84,20 +85,24 @@ def _project(g: S.GlobalType, role: str) -> S.SessionType:
         if isinstance(u, S.GRec):
             if role not in S.participants_of(u.body):
                 return S.TEnd()
-            pending[u.var] = []
-            body = go(u.body, path)
-            obligations = pending.pop(u.var)
-            if S.TVar(u.var) in S.free_vars(body):
+            var, body = u.var, u.body
+            if var in pending or S.GVar(var) in S.free_vars(g):
+                var = S.fresh(var, {v.name for v in S.free_vars(g)} | pending.keys())
+                body = S.subst(body, S.GVar(u.var), S.GVar(var))
+            pending[var] = []
+            body = go(body, path)
+            obligations = pending.pop(var)
+            if S.TVar(var) in S.free_vars(body):
                 try:
-                    result: S.SessionType = S.TRec(u.var, body)
+                    result: S.SessionType = S.TRec(var, body)
                 except S.UnguardedRecursion:
                     raise ProjectionError("unguardedResult", path,
-                                          f"projection of mu {u.var} loops without "
+                                          f"projection of mu {var} loops without "
                                           f"communicating") from None
             else:
                 result = body
             for needed, opath in obligations:
-                solved = S.subst(needed, S.TVar(u.var), result)
+                solved = S.subst(needed, S.TVar(var), result)
                 if not S.regular_tree_equal(result, solved):
                     raise ProjectionError(
                         "mergeUndefined", opath,
@@ -141,8 +146,7 @@ def _project(g: S.GlobalType, role: str) -> S.SessionType:
 
 def project_all(g: S.GlobalType) -> dict[str, S.SessionType]:
     """Projections onto every participant of `g`."""
-    g = S.alpha_uniquify_global(g)
-    return {p: _project(g, p) for p in sorted(S.participants_of(g))}
+    return {p: project(g, p) for p in sorted(S.participants_of(g))}
 
 
 # --------------------------------------------------------------------------
@@ -158,14 +162,14 @@ def consume(g: S.GlobalType, action: CommAction) -> S.GlobalType:
     the action's.  Raises ConsumeUndefined otherwise.
     """
     acting = {action.sender, action.receiver}
-    state: dict[S.GlobalType, str] = {}
+    still_open: set[S.GlobalType] = set()
     memo: dict[S.GlobalType, S.GlobalType] = {}
 
     def go(u: S.GlobalType) -> S.GlobalType:
         u = S.unfold_spine(u)
         if u in memo:
             return memo[u]
-        if state.get(u) == "open":
+        if u in still_open:
             raise ConsumeUndefined(f"{action} is buried behind a loop")
         if isinstance(u, (S.GEnd, S.GVar)):
             raise ConsumeUndefined(f"{action} cannot be consumed from {u}")
@@ -180,10 +184,10 @@ def consume(g: S.GlobalType, action: CommAction) -> S.GlobalType:
         if here & acting:
             raise ConsumeUndefined(
                 f"{action} overlaps the communication {u.sender} -> {u.receiver}")
-        state[u] = "open"
+        still_open.add(u)
         out = S.GComm(u.sender, u.receiver, tuple(
             S.GBranch(b.label, b.sort, go(b.cont)) for b in u.branches))
-        state[u] = "done"
+        still_open.remove(u)
         memo[u] = out
         return out
 

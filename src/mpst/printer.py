@@ -54,8 +54,7 @@ def show_proc(p: S.Process, summand: bool = False) -> str:
     if isinstance(p, S.Output):
         return f"{p.partner}!{p.label}({show_expr(p.payload)}).{_cont(p.body)}"
     if isinstance(p, S.ExtChoice):
-        text = " + ".join(show_proc(b, summand=True) for b in p.branches)
-        return f"({text})" if summand else text
+        return " + ".join(show_proc(b, summand=True) for b in p.branches)
     if isinstance(p, S.Cond):
         text = (f"if {show_expr(p.guard)} then {show_proc(p.then)} "
                 f"else {show_proc(p.orelse)}")
@@ -74,22 +73,19 @@ def _cont(p: S.Process) -> str:
     return show_proc(p)
 
 
-def show_type(t: S.SessionType, member: bool = False) -> str:
+def show_type(t: S.SessionType) -> str:
     if isinstance(t, S.TEnd):
         return "end"
     if isinstance(t, S.TVar):
         return t.name
     if isinstance(t, S.TRec):
-        text = f"mu {t.var}.{show_type(t.body)}"
-        return f"({text})" if member else text
+        return f"mu {t.var}.{show_type(t.body)}"
     if isinstance(t, S.TIn):
-        parts = [f"{t.sender}?{b.label}({b.sort}).{_tcont(b.cont)}" for b in t.branches]
-        text = " & ".join(parts)
-        return f"({text})" if member and len(parts) > 1 else text
+        return " & ".join([f"{t.sender}?{b.label}({b.sort}).{_tcont(b.cont)}"
+                           for b in t.branches])
     if isinstance(t, S.TOut):
-        parts = [f"{t.receiver}!{b.label}({b.sort}).{_tcont(b.cont)}" for b in t.branches]
-        text = " \\/ ".join(parts)
-        return f"({text})" if member and len(parts) > 1 else text
+        return " \\/ ".join([f"{t.receiver}!{b.label}({b.sort}).{_tcont(b.cont)}"
+                               for b in t.branches])
     raise TypeError(f"not a session type: {t!r}")
 
 

@@ -15,10 +15,11 @@ the well-formedness conditions the rest of the package relies on:
 Every term class declares its shape once: which fields hold subterms, which
 name participants, and which variable class a binder binds.  One traversal
 reads those declarations and gives free variables, participants,
-capture-avoiding substitution, unfolding and binder renaming for all
-categories.  Recursion is equi-recursive: a binder is identified with its
-unfolding, and the helpers at the bottom (unfolding, regular-tree equality)
-give that identification operational teeth.
+capture-avoiding substitution and unfolding for all categories; `fresh`
+picks the new name when a binder must be renamed.  Recursion is
+equi-recursive: a binder is identified with its unfolding, and the helpers
+at the bottom (unfolding, regular-tree equality) give that identification
+operational teeth.
 """
 
 from __future__ import annotations
@@ -552,7 +553,8 @@ def participants_of(term) -> frozenset[str]:
 # --------------------------------------------------------------------------
 
 
-def _fresh(base: str, taken: set[str]) -> str:
+def fresh(base: str, taken: set[str]) -> str:
+    """The first of `base_1`, `base_2`, ... not in `taken`, added to it."""
     i = 1
     while f"{base}_{i}" in taken:
         i += 1
@@ -573,8 +575,8 @@ def subst(t, var, repl):
     if kind is not None and kind(t.var) in free_vars(repl):
         taken = {v.name for v in free_vars(repl) | free_vars(t.body) | {var}
                  if type(v) is kind} | {t.var}
-        fresh = _fresh(t.var, taken)
-        t = replace(t, var=fresh, body=subst(t.body, kind(t.var), kind(fresh)))
+        name = fresh(t.var, taken)
+        t = replace(t, var=name, body=subst(t.body, kind(t.var), kind(name)))
     kids = []
     for c in children(t):
         kids.append(subst(c, var, repl))
@@ -640,30 +642,3 @@ def regular_tree_equal(a, b) -> bool:
         return True
 
     return go(a, b)
-
-
-# --------------------------------------------------------------------------
-# Alpha-renaming support
-# --------------------------------------------------------------------------
-
-
-def alpha_uniquify_global(g: GlobalType) -> GlobalType:
-    """Rename recursion binders so no binder shadows another or collides with
-    a free variable.  Projection relies on binder names being unique."""
-    taken = {v.name for v in free_vars(g)}
-
-    def go(u, env: dict[str, str]):
-        if isinstance(u, GVar):
-            name = env.get(u.name, u.name)
-            return u if name == u.name else GVar(name)
-        if isinstance(u, GRec):
-            fresh = _fresh(u.var, taken) if u.var in taken else u.var
-            taken.add(fresh)
-            body = go(u.body, {**env, u.var: fresh})
-            return u if fresh == u.var and body is u.body else GRec(fresh, body)
-        kids = []
-        for c in children(u):
-            kids.append(go(c, env))
-        return rebuild(u, kids)
-
-    return go(g, {})

@@ -642,3 +642,24 @@ def test_every_private_module_name_is_referenced():
     unread = [f"{module}: {name}" for module, name in defined
               if name not in referenced]
     assert unread == []
+
+
+def test_no_module_reads_a_private_name_through_another_module():
+    """`S._fresh`, read through a module bound by `import m` or
+    `from . import m`, fails; attribute reads on objects, such as
+    `m._roles(m)`, do not."""
+    package = pathlib.Path(mpst.__file__).parent
+    reaches = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {alias.asname or alias.name.split(".")[0]
+                   for n in ast.walk(tree)
+                   if isinstance(n, ast.Import)
+                   or isinstance(n, ast.ImportFrom) and n.module is None
+                   for alias in n.names}
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                    and n.value.id in modules and n.attr.startswith("_")
+                    and not n.attr.startswith("__")):
+                reaches.append(f"{path.name}:{n.lineno}: {n.value.id}.{n.attr}")
+    assert reaches == []

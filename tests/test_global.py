@@ -1,5 +1,6 @@
 """Global types: projection, merging, consumption, and the frontier."""
 
+import itertools
 import random
 
 import pytest
@@ -23,10 +24,27 @@ from mpst import (
     regular_tree_equal,
     show,
 )
+from mpst import syntax as S
+from mpst.syntax import free_vars, subst
 
 
 def load_global(name):
     return parse_global_type(fixture_text(name))
+
+
+def reuse_names(g):
+    """An alpha-equivalent global whose binders each take the first of
+    t, u, v, ... not free in their body: as much shadowing as scoping
+    allows."""
+    if isinstance(g, S.GRec):
+        taken = {v.name for v in free_vars(g.body)} - {g.var}
+        names = itertools.chain("tuvwxyz", (f"t{i}" for i in itertools.count()))
+        name = next(n for n in names if n not in taken)
+        return S.GRec(name, reuse_names(subst(g.body, S.GVar(g.var), S.GVar(name))))
+    if isinstance(g, S.GComm):
+        return S.GComm(g.sender, g.receiver, tuple(
+            S.GBranch(b.label, b.sort, reuse_names(b.cont)) for b in g.branches))
+    return g
 
 
 class TestProjection:
@@ -68,6 +86,35 @@ class TestProjection:
                 project_all(g)
             assert str(exc.value) == str(first_error)
         assert undefined >= 30
+
+    def test_a_shadowing_binder_is_renamed_during_projection(self):
+        g = parse_global_type(
+            "mu t.p -> q : { a(nat).mu t.q -> p : l(nat).t, b(nat).t }")
+        assert show(project(g, "p")) == (
+            "mu t.q!a(nat).(mu t_1.q?l(nat).t_1) \\/ q!b(nat).t")
+        assert show(project(g, "q")) == (
+            "mu t.p?a(nat).(mu t_1.p!l(nat).t_1) & p?b(nat).t")
+
+    def test_reused_binder_names_project_alike(self):
+        rng = random.Random(1010)
+        changed = 0
+        for _ in range(3000):
+            g = gen.gen_global(rng, 5)
+            g2 = reuse_names(g)
+            changed += show(g2) != show(g)
+            for role in sorted(participants_of(g)):
+                outcomes = []
+                for h in (g, g2):
+                    try:
+                        outcomes.append(project(h, role))
+                    except ProjectionError as e:
+                        outcomes.append(e.kind)
+                a, b = outcomes
+                if isinstance(a, str) or isinstance(b, str):
+                    assert a == b, (show(g), role)
+                else:
+                    assert regular_tree_equal(a, b), (show(g), role)
+        assert changed >= 500
 
     def test_absent_participant_projects_to_end(self):
         g = load_global("sec3_global.gt")

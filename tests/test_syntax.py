@@ -315,12 +315,6 @@ class TestCaptureAvoidingRenaming:
         assert show(subst(g, S.GVar("t"), S.GVar("u"))) == (
             "mu u_1.p -> q : l(nat).u")
 
-    def test_uniquify_renames_only_the_shadowing_binder(self):
-        g = parse_global_type(
-            "mu t.p -> q : { a(nat).mu t.q -> p : l(nat).t, b(nat).t }")
-        assert show(S.alpha_uniquify_global(g)) == (
-            "mu t.p -> q : { a(nat).mu t_1.q -> p : l(nat).t_1, b(nat).t }")
-
 
 class TestCachedHash:
     def test_equal_terms_built_apart_hash_equal(self):
