@@ -2,13 +2,14 @@
 
 Commands map one-to-one onto library operations: parse, subtype, project,
 check-proc, check-session, run, stuck, char-global, char-proc, precise.
-One table declares them; one loader parses their file arguments and one
+One table declares them; one loader parses their arguments and one
 emitter prints each report.
 
 Exit codes: 0 for positive verdicts (subtype holds, well typed, projection
 defined, terminated or safe), 1 for negative verdicts (refutation found, ill
 typed, stuck, fuel exhausted), 2 for usage errors and malformed input: parse
-errors (identifiers and numbers are ASCII), ill-formed terms (duplicate
+errors (identifiers and numbers are ASCII; a participant argument parses as
+a participant, so a keyword is rejected), ill-formed terms (duplicate
 labels, self-communication, unguarded recursion), open session types given
 to subtype or precise, input that nests too deeply for the recursive
 procedures, and runs that compute a number too long to print.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import sys
 import time
 from importlib import resources
@@ -52,20 +54,21 @@ class _Usage(MpstError):
 
 
 def _read_source(path: str) -> str:
+    source, packaged = pathlib.Path(path), None
     if path.startswith("fixtures/"):
         rest = path[len("fixtures/"):]
         override = os.environ.get("MPST_FIXTURES")
         if override:
             path = os.path.join(override, rest)
+            source = pathlib.Path(path)
         else:
-            ref = resources.files("mpst").joinpath("fixtures", rest)
-            try:
-                return ref.read_text()
-            except (FileNotFoundError, ModuleNotFoundError):
-                raise _Usage(f"no packaged fixture {rest!r}") from None
+            source = resources.files("mpst").joinpath("fixtures", rest)
+            packaged = rest
+    missing = (FileNotFoundError, ModuleNotFoundError) if packaged is not None else ()
     try:
-        with open(path) as f:
-            return f.read()
+        return source.read_text()
+    except missing:
+        raise _Usage(f"no packaged fixture {packaged!r}") from None
     except OSError as e:
         raise _Usage(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
@@ -85,29 +88,31 @@ def _session_or_process(src: str):
 
 
 def _load(args, params) -> None:
-    """Replace each file argument of `args` by its parsed term, in order.
-    Category "any" comes from --category or the extension, and a session
-    file may then hold a bare process; "closedtype" has no free variables."""
+    """Replace each argument of `args` by its parsed term, in order: a
+    participant argument is parsed as it stands, any other names the file
+    to parse.  Category "any" comes from --category or the extension, and a
+    session file may then hold a bare process; "closedtype" has no free
+    variables."""
     for name, category in params:
-        path = getattr(args, name)
-        if category is None:
-            continue
-        if category == "any":
-            ext = os.path.splitext(path)[1]
+        arg = getattr(args, name)
+        if category == "participant":
+            value = parse(arg, category)
+        elif category == "any":
+            ext = os.path.splitext(arg)[1]
             category = args.category or _EXTENSION_CATEGORY.get(ext)
             if category is None:
-                raise _Usage(f"cannot infer category from {path!r}; pass --category")
+                raise _Usage(f"cannot infer category from {arg!r}; pass --category")
             args.category = category
-            src = _read_source(path)
+            src = _read_source(arg)
             value = _session_or_process(src) if category == "session" \
                 else parse(src, category)
         elif category == "closedtype":
-            value = parse(_read_source(path), "sessiontype")
+            value = parse(_read_source(arg), "sessiontype")
             if free_vars(value):
                 names = ", ".join(sorted(repr(v.name) for v in free_vars(value)))
-                raise _Usage(f"{path}: open session type, unbound variable {names}")
+                raise _Usage(f"{arg}: open session type, unbound variable {names}")
         else:
-            value = parse(_read_source(path), category)
+            value = parse(_read_source(arg), category)
         setattr(args, name, value)
 
 
@@ -207,8 +212,8 @@ def _precise(args):
 _FUEL = ("--fuel", {"type": int, "default": 10000})
 
 # Each command: its function, its help text, its positional arguments as
-# (name, category the file parses as, or None for a participant name) and
-# its options as (flag, argparse keywords).
+# (name, category the file parses as, or "participant" for an argument that
+# is itself a participant name) and its options as (flag, argparse keywords).
 _COMMANDS = {
     "parse": (_parse, "parse a file and print it back", [("file", "any")],
               [("--category", {"choices": ["expr", "process", "session",
@@ -216,7 +221,7 @@ _COMMANDS = {
     "subtype": (_subtype, "decide subtyping between two types",
                 [("left", "closedtype"), ("right", "closedtype")], []),
     "project": (_project, "project a global type onto a role",
-                [("file", "globaltype"), ("participant", None)], []),
+                [("file", "globaltype"), ("participant", "participant")], []),
     "check-proc": (lambda a: _typed(check_process, {}, {}, a.process, a.type),
                    "check a process against a type",
                    [("process", "process"), ("type", "sessiontype")], []),
@@ -229,7 +234,7 @@ _COMMANDS = {
               [("session", "session")], [_FUEL]),
     "char-global": (lambda a: _shown(char_global(a.type, a.participant)),
                     "characteristic global type of a type at a role",
-                    [("type", "sessiontype"), ("participant", None)], []),
+                    [("type", "sessiontype"), ("participant", "participant")], []),
     "char-proc": (lambda a: _shown(char_proc(a.type)),
                   "characteristic process of a type",
                   [("type", "sessiontype")], []),

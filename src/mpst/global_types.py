@@ -13,9 +13,10 @@ binder completes with result R we verify `R = T[t := R]` as regular trees and
 fail the projection otherwise.  This is the least fixpoint the equi-recursive
 reading demands, and it is what makes protocols in which a participant only
 acts in the exit branch of a loop projectable.  Merges not involving the
-pending variable are unchanged.  Obligations are keyed by variable name, so
-projection renames a binder as it enters it when the binder shadows a
-pending one or a free variable.
+pending variable are unchanged.  The obligations are scoped like binders: the
+body of `mu t.G` is projected with t's obligations added to those of the
+enclosing binders, so an inner t shadows an outer t in both, and projection
+never renames a binder.
 
 Consumption of a communication action unfolds recursion binders as it
 descends, so the defined cases are the table's two clauses on the unfolded
@@ -72,12 +73,12 @@ def merge(a: S.SessionType, b: S.SessionType) -> S.SessionType:
 def project(g: S.GlobalType, role: str) -> S.SessionType:
     """Project `g` onto `role`; raises ProjectionError when undefined.
 
-    A binder that shadows a pending one or a free variable of `g` is renamed
-    on entry, so on any path one name stands for one binder; binders that
-    reuse a name in sibling branches do not nest and keep it."""
-    pending: dict[str, list[tuple[S.SessionType, tuple[str, ...]]]] = {}
+    The pending obligations are scoped like the binders they belong to, so
+    an inner binder that reuses a name shadows the outer one in the
+    obligations as it does in `g`, and no binder is ever renamed."""
+    Pending = dict[str, list[tuple[S.SessionType, tuple[str, ...]]]]
 
-    def go(u: S.GlobalType, path: tuple[str, ...]) -> S.SessionType:
+    def go(u: S.GlobalType, path: tuple[str, ...], pending: Pending) -> S.SessionType:
         if isinstance(u, S.GEnd):
             return S.TEnd()
         if isinstance(u, S.GVar):
@@ -85,13 +86,8 @@ def project(g: S.GlobalType, role: str) -> S.SessionType:
         if isinstance(u, S.GRec):
             if role not in S.participants_of(u.body):
                 return S.TEnd()
-            var, body = u.var, u.body
-            if var in pending or S.GVar(var) in S.free_vars(g):
-                var = S.fresh(var, {v.name for v in S.free_vars(g)} | pending.keys())
-                body = S.subst(body, S.GVar(u.var), S.GVar(var))
-            pending[var] = []
-            body = go(body, path)
-            obligations = pending.pop(var)
+            var, obligations = u.var, []
+            body = go(u.body, path, {**pending, var: obligations})
             if S.TVar(var) in S.free_vars(body):
                 try:
                     result: S.SessionType = S.TRec(var, body)
@@ -112,22 +108,22 @@ def project(g: S.GlobalType, role: str) -> S.SessionType:
         if isinstance(u, S.GComm):
             if role == u.sender:
                 return S.TOut(u.receiver, tuple(
-                    S.TBranch(b.label, b.sort, go(b.cont, path + (b.label,)))
+                    S.TBranch(b.label, b.sort, go(b.cont, path + (b.label,), pending))
                     for b in u.branches))
             if role == u.receiver:
                 return S.TIn(u.sender, tuple(
-                    S.TBranch(b.label, b.sort, go(b.cont, path + (b.label,)))
+                    S.TBranch(b.label, b.sort, go(b.cont, path + (b.label,), pending))
                     for b in u.branches))
             acc: S.SessionType | None = None
             for b in u.branches:
-                nxt = go(b.cont, path + (b.label,))
-                acc = nxt if acc is None else merge_pending(acc, nxt, path)
+                nxt = go(b.cont, path + (b.label,), pending)
+                acc = nxt if acc is None else merge_pending(acc, nxt, path, pending)
             assert acc is not None  # branch lists are never empty
             return acc
         raise TypeError(f"not a global type: {u!r}")
 
     def merge_pending(a: S.SessionType, b: S.SessionType,
-                      path: tuple[str, ...]) -> S.SessionType:
+                      path: tuple[str, ...], pending: Pending) -> S.SessionType:
         ua = S.unfold_spine(a)
         ub = S.unfold_spine(b)
         if isinstance(ua, S.TVar) and ua.name in pending and not isinstance(ub, S.TVar):
@@ -141,7 +137,7 @@ def project(g: S.GlobalType, role: str) -> S.SessionType:
         except MergeUndefined as exc:
             raise ProjectionError("mergeUndefined", path, str(exc)) from None
 
-    return go(g, ())
+    return go(g, (), {})
 
 
 def project_all(g: S.GlobalType) -> dict[str, S.SessionType]:

@@ -328,16 +328,15 @@ _RULES = {
     "expr": _Parser.expr,
     "process": _Parser.process,
     "session": _Parser.session,
-    "type": _Parser.session_type,
     "sessiontype": _Parser.session_type,
-    "global": _Parser.global_type,
     "globaltype": _Parser.global_type,
+    "participant": lambda p: p.ident("a participant"),
 }
 
 
 def parse(src: str, category: str):
     """Parse all of `src` as the given category: expr, process, session,
-    sessiontype (alias type) or globaltype (alias global)."""
+    sessiontype, globaltype, or participant (a name that is not a keyword)."""
     try:
         rule = _RULES[category]
     except KeyError:

@@ -15,9 +15,8 @@ the well-formedness conditions the rest of the package relies on:
 Every term class declares its shape once: which fields hold subterms, which
 name participants, and which variable class a binder binds.  One traversal
 reads those declarations and gives free variables, participants,
-capture-avoiding substitution and unfolding for all categories; `fresh`
-picks the new name when a binder must be renamed.  Recursion is
-equi-recursive: a binder is identified with its unfolding, and the helpers
+capture-avoiding substitution and unfolding for all categories.  Recursion
+is equi-recursive: a binder is identified with its unfolding, and the helpers
 at the bottom (unfolding, regular-tree equality) give that identification
 operational teeth.
 """
@@ -553,29 +552,23 @@ def participants_of(term) -> frozenset[str]:
 # --------------------------------------------------------------------------
 
 
-def fresh(base: str, taken: set[str]) -> str:
-    """The first of `base_1`, `base_2`, ... not in `taken`, added to it."""
-    i = 1
-    while f"{base}_{i}" in taken:
-        i += 1
-    name = f"{base}_{i}"
-    taken.add(name)
-    return name
-
-
 def subst(t, var, repl):
     """t[repl/var] for a variable node `var` (a Var, ProcVar, TVar or GVar),
-    renaming binders that would capture a free variable of `repl`.  Subtrees
-    in which `var` is not free come back unchanged, as the same objects."""
+    renaming a binder `x` that would capture a free variable of `repl` to the
+    first of `x_1`, `x_2`, ... not free in `repl` or the binder's body.
+    Subtrees in which `var` is not free come back unchanged, as the same
+    objects."""
     if var not in free_vars(t):
         return t
     if type(t) is type(var):
         return repl
     kind = t._binds
     if kind is not None and kind(t.var) in free_vars(repl):
-        taken = {v.name for v in free_vars(repl) | free_vars(t.body) | {var}
-                 if type(v) is kind} | {t.var}
-        name = fresh(t.var, taken)
+        taken = {v.name for v in free_vars(repl) | free_vars(t.body) if type(v) is kind}
+        i = 1
+        while f"{t.var}_{i}" in taken:
+            i += 1
+        name = f"{t.var}_{i}"
         t = replace(t, var=name, body=subst(t.body, kind(t.var), kind(name)))
     kids = []
     for c in children(t):

@@ -184,6 +184,17 @@ class TestPreciseness:
         assert report.ok is True
         assert report.detail == "substituted session is safe (terminated, 1 states)"
 
+    @pytest.mark.parametrize("left, right, relation", [
+        ("sec5_nat.mpst", "sec5_int.mpst", "leq"),
+        ("sec5_int.mpst", "sec5_nat.mpst", "nleq"),
+    ])
+    def test_too_little_fuel_is_inconclusive(self, left, right, relation):
+        report = preciseness_check(T(fixture_text(left)), T(fixture_text(right)),
+                                   fuel=1)
+        assert report.relation == relation
+        assert report.ok is None
+        assert report.detail.startswith("fuel exhausted after 1 states")
+
     def test_projection_failure_is_an_internal_error(self, monkeypatch):
         def fail(g, role):
             raise ProjectionError("mergeUndefined", ())

@@ -81,6 +81,22 @@ class TestParse:
         assert code == 2
         assert err == "error: no packaged fixture 'missing.mpst'\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("subtype", "fixtures/", "fixtures/ex1_T.mpst"),
+         "cannot read fixtures/: Is a directory"),
+        (("parse", "--category", "sessiontype", "fixtures/."),
+         "cannot read fixtures/.: Is a directory"),
+        (("parse", "fixtures/adder.gt/x.gt"),
+         "cannot read fixtures/adder.gt/x.gt: Not a directory"),
+    ])
+    def test_unreadable_fixture_path_is_usage_error(self, argv, message):
+        code, out, err = invoke(*argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, payload, err = invoke_json(*argv)
+        assert (code, err) == (2, f"error: {message}\n")
+        assert payload == {"command": argv[0], "verdict": "error",
+                           "witness": {"message": message}}
+
     def test_parse_error_reports_position(self, tmp_path):
         source = tmp_path / "bad.mpst"
         source.write_text("p?l(nat).")
@@ -162,6 +178,17 @@ class TestProject:
         code, out, _ = invoke("project", "fixtures/sec3_global.gt", "r")
         assert code == 0
         assert out == "q?l3(int).end & q?l5(nat).end\n"
+
+    @pytest.mark.parametrize("command, file", [
+        ("project", "fixtures/sec3_global.gt"), ("char-global", "fixtures/ex1_T.mpst")])
+    @pytest.mark.parametrize("participant, message", [
+        ("1x", "1:1: expected a participant, got '1'"),
+        ("end", "1:1: expected a participant, got 'end'"),
+        ("p-q", "1:2: unexpected character '-'"),
+        ("", "1:1: expected a participant, got 'end of input'")])
+    def test_participant_the_grammar_rejects_is_usage_error(
+            self, command, file, participant, message):
+        assert invoke(command, file, participant) == (2, "", f"error: {message}\n")
 
     def test_undefined_merge_is_negative(self):
         code, out, _ = invoke("project", "fixtures/ex1_nochain.gt", "r")
@@ -575,14 +602,19 @@ def test_mutated_fixtures_end_in_a_documented_exit_code(tmp_path):
         mutant = tmp_path / f"m{k}{pathlib.Path(fixture.name).suffix}"
         mutant.write_text(mutate(rng, fixture.read_text()))
         m, original = str(mutant), f"fixtures/{fixture.name}"
+        participant = mutate(rng, "p")
+        path = "fixtures/" + mutate(rng, rng.choice(("", fixture.name)))
         for argv in (("parse", m), ("subtype", m, original),
                      ("precise", m, original, "--fuel", "200"),
                      ("stuck", m, "--fuel", "200"), ("run", m, "--fuel", "50"),
-                     ("project", m, "p")):
+                     ("project", m, "p"),
+                     ("project", "fixtures/sec3_global.gt", participant),
+                     ("char-global", "fixtures/ex1_T.mpst", participant),
+                     ("parse", path, "--category", "globaltype")):
             try:
                 code, _, err = invoke(*argv)
             except Exception as e:
-                pytest.fail(f"{argv[0]} on {mutant.read_text()!r} raised {e!r}")
+                pytest.fail(f"{argv} on {mutant.read_text()!r} raised {e!r}")
             assert code in (0, 1, 2), (argv[0], mutant.read_text())
             assert "InternalError" not in err, (argv[0], mutant.read_text())
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -87,13 +88,35 @@ class TestProjection:
             assert str(exc.value) == str(first_error)
         assert undefined >= 30
 
-    def test_a_shadowing_binder_is_renamed_during_projection(self):
+    def test_a_shadowing_binder_keeps_its_name_during_projection(self):
         g = parse_global_type(
             "mu t.p -> q : { a(nat).mu t.q -> p : l(nat).t, b(nat).t }")
-        assert show(project(g, "p")) == (
-            "mu t.q!a(nat).(mu t_1.q?l(nat).t_1) \\/ q!b(nat).t")
-        assert show(project(g, "q")) == (
-            "mu t.p?a(nat).(mu t_1.p!l(nat).t_1) & p?b(nat).t")
+        onto_p, onto_q = project(g, "p"), project(g, "q")
+        assert show(onto_p) == "mu t.q!a(nat).(mu t.q?l(nat).t) \\/ q!b(nat).t"
+        assert show(onto_q) == "mu t.p?a(nat).(mu t.p!l(nat).t) & p?b(nat).t"
+        # Renaming the inner binder gives the same trees.
+        assert regular_tree_equal(onto_p, parse_session_type(
+            "mu t.q!a(nat).(mu t_1.q?l(nat).t_1) \\/ q!b(nat).t"))
+        assert regular_tree_equal(onto_q, parse_session_type(
+            "mu t.p?a(nat).(mu t_1.p!l(nat).t_1) & p?b(nat).t"))
+
+    def test_projection_substitutes_nothing_on_entering_a_binder(self):
+        g = parse_global_type(
+            "mu t.p -> q : { a(nat).mu t.q -> p : l(nat).t, b(nat).t }")
+        entered = []
+
+        def tracer(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "subst":
+                entered.append(frame.f_code.co_name)
+            return None
+
+        old = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            project(g, "p")
+        finally:
+            sys.settrace(old)
+        assert entered == []
 
     def test_reused_binder_names_project_alike(self):
         rng = random.Random(1010)
@@ -216,6 +239,12 @@ class TestConsume:
             consume(g, CommAction("q", "l3", "r"))
         assert "overlaps" in str(exc.value)
 
+    def test_an_action_behind_a_loop_is_buried(self):
+        g = parse_global_type("mu t.r -> s : m(nat).t")
+        with pytest.raises(ConsumeUndefined) as exc:
+            consume(g, CommAction("p", "l", "q"))
+        assert str(exc.value) == "p --l--> q is buried behind a loop"
+
     def test_consume_unfolds_recursion(self):
         g = parse_global_type("mu t. r -> s : la(nat). p -> q : l(nat).t")
         assert show(consume(g, CommAction("p", "l", "q"))) == (
@@ -249,3 +278,13 @@ class TestFrontier:
                 assert consume(g, action) == g2
                 edges += 1
         assert edges >= 150
+
+    def test_global_step_drops_an_action_only_one_branch_offers(self):
+        g = parse_global_type(
+            "p -> q : { a(nat).r -> s : m(nat).end, b(nat).end }")
+        assert CommAction("r", "m", "s") in frontier_actions(g)
+        assert [action for action, _ in global_step(g)] == [
+            CommAction("p", "a", "q"), CommAction("p", "b", "q")]
+        with pytest.raises(ConsumeUndefined) as exc:
+            consume(g, CommAction("r", "m", "s"))
+        assert str(exc.value) == "r --m--> s cannot be consumed from end"

@@ -134,6 +134,11 @@ class TestRun:
         assert report.verdict == "terminated"
         assert len(built) == len(report.trace) == 2
 
+    def test_run_terminating_on_its_last_unit_of_fuel(self):
+        report = run(parse_session("@p q!l(1).0 || @q p?l(x).0"), 1)
+        assert report.verdict == "terminated"
+        assert [st.line for st in report.trace] == ["p --l(1)--> q"]
+
     def test_run_exhausts_fuel_on_loops(self):
         report = run(load_session("adder.mps"), 20)
         assert report.verdict == "diverged"

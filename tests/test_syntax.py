@@ -77,11 +77,16 @@ class TestPrinting:
 
 class TestParsing:
     def test_category_dispatch(self):
-        assert parse("end", "type") == TEnd()
         assert parse("end", "sessiontype") == TEnd()
         assert parse("end", "globaltype") == S.GEnd()
         assert parse("0", "process") == S.Inact()
         assert parse("true", "expr") == S.BoolLit(True)
+
+    def test_a_participant_is_an_identifier_that_is_not_a_keyword(self):
+        assert parse(" p # the sender\n", "participant") == "p"
+        for text in ["end", "mu", "1x", "p q", "p-q", ""]:
+            with pytest.raises(ParseError):
+                parse(text, "participant")
 
     def test_inact_and_negative_literal(self):
         p = parse_process("q!l(-5).0")

@@ -119,6 +119,16 @@ class TestCheckProcess:
             check_process(gamma, {}, P("X"), T("p!l(bool).end"))
         assert exc.value.rule == "t-var"
 
+    @pytest.mark.parametrize("text, message", [
+        ("q?a(x).0 + r?b(y).0", "summands receive from different partners: q, r"),
+        ("q?a(x).0 + p!b(1).0", "summand p!b(1).0 is not an input"),
+    ])
+    def test_a_choice_must_be_inputs_from_one_partner(self, text, message):
+        with pytest.raises(TypingError) as exc:
+            check_process({}, {}, P(text), T("q?a(nat).end"))
+        assert exc.value.rule == "t-in-choice"
+        assert message in str(exc.value)
+
     def test_paths_locate_the_failure(self):
         with pytest.raises(TypingError) as exc:
             check_process({}, {}, P("q!l(5).q!m(true).0"),
@@ -150,6 +160,27 @@ class TestSynthesize:
         with pytest.raises(TypingError) as exc:
             synthesize_process({}, {}, P("if true then p!l(5).0 else q!l(5).0"))
         assert exc.value.rule == "illegalUnion"
+
+    def test_arms_that_disagree_on_a_label_have_no_union(self):
+        with pytest.raises(TypingError) as exc:
+            synthesize_process({}, {}, P("if true then p!a(1).0 else p!a(true).0"))
+        assert exc.value.rule == "illegalUnion"
+        assert "branches disagree on label a" in str(exc.value)
+
+    def test_nested_loops(self):
+        t = synthesize_process({}, {}, P(
+            "mu X.p!a(1).mu Y.(if true then p!b(1).X else p!c(2).Y)"))
+        assert show(t) == "mu t0.p!a(nat).(mu t1.p!b(nat).t0 \\/ p!c(nat).t1)"
+
+    def test_a_loop_that_never_recurs_is_its_body(self):
+        assert show(synthesize_process({}, {}, P("mu X.p!a(1).0"))) == (
+            "p!a(nat).end")
+
+    def test_unbound_process_variable(self):
+        with pytest.raises(TypingError) as exc:
+            synthesize_process({}, {}, P("X"))
+        assert exc.value.rule == "t-var"
+        assert "unbound process variable X" in str(exc.value)
 
     def test_unproductive_loop_rejected(self):
         with pytest.raises(TypingError) as exc:
