@@ -22,7 +22,6 @@ reduce to a genuinely stuck state.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import syntax as S
 from .errors import InternalError, ParticipantClash, ProjectionError
@@ -137,8 +136,8 @@ def counterexample_session(t: S.SessionType, tp: S.SessionType,
     return S.Session(tuple(entries))
 
 
-@dataclass(frozen=True)
-class PrecisenessReport:
+@S.frozen
+class PrecisenessReport(S.Record):
     """Outcome of exercising one pair against the preciseness property.
 
     relation: "leq" or "nleq" as decided.

@@ -21,7 +21,7 @@ A command that fails also writes one, with verdict "error" and witness
 
 Paths beginning with `fixtures/` resolve inside the packaged fixture corpus,
 or inside the directory named by the MPST_FIXTURES environment variable when
-it is set.
+it is set; an absolute rest or a `..` component names no fixture.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .global_types import project
 from .parser import parse, parse_process, parse_session
 from .runtime import run as run_session, stuck_search
 from .subtyping import decide, format_derivation
-from .syntax import free_vars
+from .syntax import free_vars, participants_of
 from .typecheck import check_process, check_session
 
 _EXTENSION_CATEGORY = {".mpst": "sessiontype", ".gt": "globaltype",
@@ -57,6 +57,8 @@ def _read_source(path: str) -> str:
     source, packaged = pathlib.Path(path), None
     if path.startswith("fixtures/"):
         rest = path[len("fixtures/"):]
+        if os.path.isabs(rest) or ".." in pathlib.PurePath(rest).parts:
+            raise _Usage(f"no packaged fixture {rest!r}")  # outside the corpus
         override = os.environ.get("MPST_FIXTURES")
         if override:
             path = os.path.join(override, rest)
@@ -92,9 +94,10 @@ def _load(args, params) -> None:
     participant argument is parsed as it stands, any other names the file
     to parse.  Category "any" comes from --category or the extension, and a
     session file may then hold a bare process; "closedtype" has no free
-    variables."""
+    variables.  `args.given` keeps the arguments as given."""
+    args.given = {}
     for name, category in params:
-        arg = getattr(args, name)
+        arg = args.given[name] = getattr(args, name)
         if category == "participant":
             value = parse(arg, category)
         elif category == "any":
@@ -144,6 +147,9 @@ def _subtype(args):
 
 
 def _project(args):
+    if args.participant not in participants_of(args.file):
+        print(f"note: {args.participant} is not a participant of "
+              f"{args.given['file']}", file=sys.stderr)
     try:
         return _shown(project(args.file, args.participant))
     except ProjectionError as e:

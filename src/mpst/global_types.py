@@ -26,14 +26,12 @@ the action is buried behind a loop and the consumption is undefined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import syntax as S
 from .errors import ConsumeUndefined, MergeUndefined, ProjectionError
 
 
-@dataclass(frozen=True)
-class CommAction:
+@S.frozen
+class CommAction(S.Record):
     """A single synchronisation: sender communicates label to receiver."""
 
     sender: str

@@ -25,7 +25,6 @@ session gets stuck.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 
 from . import syntax as S
 from .errors import FuelMisuse
@@ -33,8 +32,8 @@ from .exprs import eval_all
 from .printer import show_expr
 
 
-@dataclass(frozen=True)
-class Step:
+@S.frozen
+class Step(S.Record):
     """One reduction: the rule applied, the printable trace line, and the
     structured pieces (source/target participant, label and value for
     communications; conditionals have source == target and no label).  The
@@ -56,8 +55,8 @@ class Step:
         return self.line
 
 
-@dataclass(frozen=True)
-class StuckReport:
+@S.frozen
+class StuckReport(S.Record):
     verdict: str  # "terminated" | "stuckFound" | "noStuckWithinFuel" | "diverged"
     trace: tuple[Step, ...] = ()
     state: S.Session | None = None
@@ -68,6 +67,7 @@ def _canon_proc(p: S.Process) -> S.Process:
     p = S.unfold_spine(p)
     if isinstance(p, S.ExtChoice):
         flat = [q for b in p.branches for q in S.summands(_canon_proc(b))]
+        # str(q) prints q once and caches the text on it (`_text`).
         return S.ExtChoice(tuple(sorted(flat, key=str)))
     return p
 

@@ -23,8 +23,6 @@ The two procedures never consult each other, nor regular-tree equality;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import syntax as S
 from .errors import InternalError, NotDerivable
 from .exprs import subsort
@@ -70,8 +68,8 @@ def _sub(a: S.SessionType, b: S.SessionType, theta: frozenset) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NsubDerivation:
+@S.frozen
+class NsubDerivation(S.Record):
     """One node of a derivation that left is not a subtype of right."""
 
     rule: str
@@ -198,8 +196,8 @@ def nsub(a: S.SessionType, b: S.SessionType) -> NsubDerivation:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+@S.frozen
+class Verdict(S.Record):
     relation: str  # "leq" | "nleq"
     derivation: NsubDerivation | None = None
 

@@ -1,7 +1,7 @@
 """Core syntax of a synchronous multiparty session calculus.
 
 Five term categories live here: expressions, processes, multiparty sessions,
-session types and global types.  Every node is a frozen dataclass with
+session types and global types.  Every node is an immutable value with
 structural equality and hashing, so terms can be memoised and used as dict
 keys freely.  A node hashes its fields once and caches the result, so that
 hashing it again is one lookup, whatever its depth.  Constructors enforce
@@ -24,18 +24,16 @@ operational teeth.
 from __future__ import annotations
 
 import enum
-import re
-from dataclasses import dataclass, replace
-from operator import attrgetter, is_
+import sys
+from operator import attrgetter, is_, lt
 from typing import Iterable, Union
 
 from .errors import DuplicateLabel, SelfCommunication, UnguardedRecursion
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 def _require_ident(name: str, what: str) -> None:
-    if not _IDENT.match(name):
+    # An ASCII Python identifier: [A-Za-z_][A-Za-z0-9_]*.
+    if not (name.isascii() and name.isidentifier()):
         raise ValueError(f"bad {what}: {name!r}")
 
 
@@ -58,6 +56,16 @@ def _getter(names: tuple[str, ...]):
     return attrgetter(*names)
 
 
+_METHODS = """
+def __init__(self, {params}):
+{sets}
+def __eq__(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return ({mine}) == ({theirs})
+"""
+
+
 def _cached_hash(key):
     """A __hash__ that hashes `key(node)` on the first call and then
     returns the cached value."""
@@ -72,7 +80,87 @@ def _cached_hash(key):
     return __hash__
 
 
-class _Term:
+def frozen(cls):
+    """The class-building step of every immutable value in the package: the
+    term nodes here and the result records of other modules, subclasses of
+    `Record`.  A class declares its fields as annotations, with defaults
+    where it has them, and its bases name the slots of facts cached on an
+    instance in `__slots__`.  The class is created again with slots for
+    its fields and no instance dict, as a plain class, so `isinstance`
+    stays fast.  It gets an `__init__` that sets the fields, clears every
+    cached fact and runs `__post_init__`, an `__eq__` over the tuple of its
+    fields, both compiled from source so that they run as fast as if
+    written out, and a `__hash__` of that tuple, cached in `_hash`."""
+    ns = dict(vars(cls))
+    own = tuple(ns.get("__annotations__", ()))
+    defaults = {f: ns.pop(f) for f in own if f in ns}
+    for name in ("__dict__", "__weakref__"):
+        ns.pop(name, None)
+    ns["__slots__"] = own
+    cls = type(cls.__name__, cls.__bases__, ns)
+    mro = cls.__mro__[::-1]
+    cls._fields = fields = tuple(
+        f for c in mro for f in vars(c).get("__annotations__", ()))
+    cls._defaults = defaults = {**getattr(cls, "_defaults", {}), **defaults}
+    cls._caches = caches = tuple(
+        n for c in mro for n in vars(c).get("__slots__", ()) if n not in fields)
+    env = {f"set_{n}": getattr(cls, n).__set__ for n in fields + caches}
+    env.update((f"default_{f}", v) for f, v in defaults.items())
+    sets = [f"    set_{n}(self, {n if n in fields else None})"
+            for n in fields + caches]
+    if hasattr(cls, "__post_init__"):
+        env["post"] = cls.__post_init__
+        sets.append("    post(self)")
+    exec(_METHODS.format(
+        params=", ".join(f + f"=default_{f}" * (f in defaults) for f in fields),
+        sets="\n".join(sets), mine="".join(f"self.{f}, " for f in fields),
+        theirs="".join(f"other.{f}, " for f in fields)), env)
+    cls.__init__, cls.__eq__ = env["__init__"], env["__eq__"]
+    cls.__hash__ = _cached_hash(_getter(fields))
+    return cls
+
+
+class _DataclassFields(dict):
+    """`__dataclass_fields__`, built on first use, so that `dataclasses.fields`
+    still reads the fields of a class for a caller that loaded dataclasses,
+    such as the node count in `bench/workloads.py`; mpst never loads it."""
+
+    def __get__(self, obj, cls):
+        dc = sys.modules.get("dataclasses")
+        if dc is None:
+            raise AttributeError("__dataclass_fields__")
+        if cls not in self:
+            self[cls] = {f: dc.field(default=cls._defaults.get(f, dc.MISSING))
+                         for f in cls._fields}
+            for f, field in self[cls].items():
+                field.name, field._field_type = f, dc._FIELD
+        return self[cls]
+
+
+class Record:
+    """Base of every immutable value (see `frozen`)."""
+
+    __slots__ = ("_hash",)
+    __dataclass_fields__ = _DataclassFields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(
+            f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # Pickles and copies are rebuilt from the fields and leave every
+        # cached fact behind: string hashes differ between interpreters, and
+        # a variable's free variables and a binder's unfolding hold the node.
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class _Term(Record):
     """Base of every term node.  Each class declares its shape once:
 
       _kids   the fields holding subterms; they come last in field order;
@@ -82,33 +170,24 @@ class _Term:
 
     From these the class gets `_children`, `_fixed` (the other fields) and
     `_roles`, which everything below goes through.  Facts derived from a
-    node are cached on it as attributes outside the dataclass fields, so
-    equality, hashing and repr never see them.  They are stored with
-    object.__setattr__, never through `__dict__`: materialising an
-    instance dict slows every later attribute read, and so hashing.
-
-    The structural hash is one of those facts: every class with fields gets
-    a `__hash__` that hashes the tuple of its fields once and caches the
-    result in `_hash`.  @dataclass keeps a `__hash__` it finds in the
-    class's own namespace, and this hook runs before the decorator.  All
-    fields are set by the time `__post_init__` returns, so the cached hash
-    never goes stale.
+    node are cached on it in slots that are not fields, so equality,
+    hashing and repr never see them: the structural hash in `_hash`, free
+    variables in `_free`, participants in `_parts`, and below a binder's
+    unfolding in `_unfolded` and a printed node's text in `_text`.  They
+    are written with object.__setattr__.
     """
 
-    _kids: tuple[str, ...] = ()
+    __slots__ = ("_free", "_parts")
+    _kids = ()
     _many = False
-    _names: tuple[str, ...] = ()
-    _binds: type | None = None
+    _names = ()
+    _binds = None
     _fixed = _children = _roles = staticmethod(lambda t: ())
-    _free = _parts = _hash = None  # cached by free_vars, participants_of, hash
 
     def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
+        super(_Term, cls).__init_subclass__(**kwargs)
         fields = tuple(vars(cls).get("__annotations__", ()))
-        if not fields:  # a base
-            return
-        cls.__hash__ = _cached_hash(_getter(fields))
-        if "_children" in vars(cls):  # Session
+        if not fields or "_children" in vars(cls):  # a base, or Session
             return
         cut = len(fields) - len(cls._kids)
         assert fields[cut:] == cls._kids, f"{cls.__name__}: kids must come last"
@@ -117,24 +196,24 @@ class _Term:
             attrgetter(cls._kids[0]) if cls._many else _getter(cls._kids))
         cls._roles = staticmethod(_getter(cls._names))
 
-    def __getstate__(self) -> dict:
-        # A pickled or copied term keeps its fields and leaves every cached
-        # fact behind: string hashes differ between interpreters, and a
-        # variable's free variables and a binder's unfolding contain the
-        # node itself, which unpickling would hash before its fields are set.
-        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
-
 
 class _Shown(_Term):
-    """Mixin routing str() through the canonical pretty printer."""
+    """Mixin routing str() through the canonical pretty printer, once: the
+    text is cached in `_text`."""
+
+    __slots__ = ("_text",)
 
     def __str__(self) -> str:
-        from . import printer
+        text = self._text
+        if text is None:
+            from . import printer
 
-        return printer.show(self)
+            text = printer.show(self)
+            object.__setattr__(self, "_text", text)
+        return text
 
 
-@dataclass(frozen=True)
+@frozen
 class _Variable(_Shown):
     """A variable occurrence.  Each category has its own variable class, so
     equal names in different categories are different variables."""
@@ -151,11 +230,12 @@ class _Variable(_Shown):
 # --------------------------------------------------------------------------
 
 
+@frozen
 class Var(_Variable):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class NatLit(_Shown):
     value: int
 
@@ -164,35 +244,35 @@ class NatLit(_Shown):
             raise ValueError("natural literal must be non-negative")
 
 
-@dataclass(frozen=True)
+@frozen
 class IntLit(_Shown):
     value: int
 
 
-@dataclass(frozen=True)
+@frozen
 class BoolLit(_Shown):
     value: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class Succ(_Shown):
     arg: "Expr"
     _kids = ("arg",)
 
 
-@dataclass(frozen=True)
+@frozen
 class Neg(_Shown):
     arg: "Expr"
     _kids = ("arg",)
 
 
-@dataclass(frozen=True)
+@frozen
 class Not(_Shown):
     arg: "Expr"
     _kids = ("arg",)
 
 
-@dataclass(frozen=True)
+@frozen
 class Choice(_Shown):
     """Nondeterministic choice between two expressions."""
 
@@ -201,7 +281,7 @@ class Choice(_Shown):
     _kids = ("left", "right")
 
 
-@dataclass(frozen=True)
+@frozen
 class Gt(_Shown):
     left: "Expr"
     right: "Expr"
@@ -225,8 +305,8 @@ class _Mu(_Shown):
     """The recursion binders Rec, TRec and GRec: fields `var` and `body`.
     A binder caches its one-step unfolding in `_unfolded` (see `unfold`)."""
 
+    __slots__ = ("_unfolded",)
     _kids = ("body",)
-    _unfolded = None
 
     def __post_init__(self) -> None:
         self._binds(self.var)  # validates the name
@@ -245,7 +325,7 @@ class _Mu(_Shown):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Input(_Shown):
     partner: str
     label: str
@@ -261,7 +341,7 @@ class Input(_Shown):
         _require_ident(self.var, "variable")
 
 
-@dataclass(frozen=True)
+@frozen
 class Output(_Shown):
     partner: str
     label: str
@@ -275,7 +355,7 @@ class Output(_Shown):
         _require_ident(self.label, "label")
 
 
-@dataclass(frozen=True)
+@frozen
 class ExtChoice(_Shown):
     """External choice.  Kept flat: no branch is itself an ExtChoice."""
 
@@ -290,7 +370,7 @@ class ExtChoice(_Shown):
             raise ValueError("external choice must be flattened")
 
 
-@dataclass(frozen=True)
+@frozen
 class Cond(_Shown):
     guard: Expr
     then: "Process"
@@ -298,18 +378,19 @@ class Cond(_Shown):
     _kids = ("guard", "then", "orelse")
 
 
+@frozen
 class ProcVar(_Variable):
     _what = "process variable"
 
 
-@dataclass(frozen=True)
+@frozen
 class Rec(_Mu):
     var: str
     body: "Process"
     _binds = ProcVar
 
 
-@dataclass(frozen=True)
+@frozen
 class Inact(_Shown):
     pass
 
@@ -335,7 +416,7 @@ def ext_choice(branches: Iterable["Process"]) -> "Process":
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Session(_Shown):
     """A parallel composition of located processes, keyed by participant."""
 
@@ -367,6 +448,8 @@ class Session(_Shown):
         such as the entries of a session a reduction step came from."""
         m = object.__new__(cls)
         object.__setattr__(m, "parts", tuple(sorted(parts)))
+        for name in cls._caches:
+            object.__setattr__(m, name, None)
         return m
 
 
@@ -375,7 +458,7 @@ class Session(_Shown):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class TBranch(_Term):
     label: str
     sort: Sort
@@ -386,16 +469,23 @@ class TBranch(_Term):
         _require_ident(self.label, "label")
 
 
+_label = attrgetter("label")
+
+
 def _sorted_branches(branches: tuple, what: str) -> tuple:
-    if not branches:
-        raise ValueError(f"{what} needs at least one branch")
-    labels = [b.label for b in branches]
+    if len(branches) < 2:
+        if not branches:
+            raise ValueError(f"{what} needs at least one branch")
+        return tuple(branches)
+    labels = tuple(map(_label, branches))
+    if all(map(lt, labels, labels[1:])):  # sorted and distinct already
+        return tuple(branches)
     if len(set(labels)) != len(labels):
         raise DuplicateLabel(f"{what} repeats a label: {sorted(labels)}")
-    return tuple(sorted(branches, key=lambda b: b.label))
+    return tuple(sorted(branches, key=_label))
 
 
-@dataclass(frozen=True)
+@frozen
 class TIn(_Shown):
     """Intersection of input prefixes, all from the same sender."""
 
@@ -410,7 +500,7 @@ class TIn(_Shown):
         object.__setattr__(self, "branches", _sorted_branches(self.branches, "intersection"))
 
 
-@dataclass(frozen=True)
+@frozen
 class TOut(_Shown):
     """Union of output prefixes, all towards the same receiver."""
 
@@ -425,18 +515,19 @@ class TOut(_Shown):
         object.__setattr__(self, "branches", _sorted_branches(self.branches, "union"))
 
 
+@frozen
 class TVar(_Variable):
     _what = "type variable"
 
 
-@dataclass(frozen=True)
+@frozen
 class TRec(_Mu):
     var: str
     body: "SessionType"
     _binds = TVar
 
 
-@dataclass(frozen=True)
+@frozen
 class TEnd(_Shown):
     pass
 
@@ -449,7 +540,7 @@ SessionType = Union[TIn, TOut, TRec, TVar, TEnd]
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class GBranch(_Term):
     label: str
     sort: Sort
@@ -460,7 +551,7 @@ class GBranch(_Term):
         _require_ident(self.label, "label")
 
 
-@dataclass(frozen=True)
+@frozen
 class GComm(_Shown):
     sender: str
     receiver: str
@@ -477,18 +568,19 @@ class GComm(_Shown):
         object.__setattr__(self, "branches", _sorted_branches(self.branches, "communication"))
 
 
+@frozen
 class GVar(_Variable):
     _what = "type variable"
 
 
-@dataclass(frozen=True)
+@frozen
 class GRec(_Mu):
     var: str
     body: "GlobalType"
     _binds = GVar
 
 
-@dataclass(frozen=True)
+@frozen
 class GEnd(_Shown):
     pass
 
@@ -569,7 +661,8 @@ def subst(t, var, repl):
         while f"{t.var}_{i}" in taken:
             i += 1
         name = f"{t.var}_{i}"
-        t = replace(t, var=name, body=subst(t.body, kind(t.var), kind(name)))
+        # A binder's `var` is its last field before the body.
+        t = type(t)(*t._fixed(t)[:-1], name, subst(t.body, kind(t.var), kind(name)))
     kids = []
     for c in children(t):
         kids.append(subst(c, var, repl))

@@ -97,6 +97,30 @@ class TestParse:
         assert payload == {"command": argv[0], "verdict": "error",
                            "witness": {"message": message}}
 
+    @pytest.mark.parametrize("shape", ["absolute", "dotdot", "cli source"])
+    @pytest.mark.parametrize("override", [False, True])
+    def test_fixture_path_outside_the_corpus_is_usage_error(
+            self, tmp_path, monkeypatch, shape, override):
+        corpus = pathlib.Path(mpst.__file__).parent / "fixtures"
+        if override:
+            corpus = tmp_path / "corpus"
+            corpus.mkdir()
+            (corpus / "ex1_T.mpst").write_text(fixture_text("ex1_T.mpst"))
+            monkeypatch.setenv("MPST_FIXTURES", str(corpus))
+        outside = tmp_path / "secret.mpst"
+        outside.write_text("end")
+        rest = {"absolute": str(outside),
+                "dotdot": os.path.relpath(outside, corpus),
+                "cli source": "../cli.py"}[shape]
+        argv = ("subtype", "fixtures/ex1_T.mpst", "fixtures/" + rest)
+        if shape == "cli source":
+            argv = ("parse", "--category", "process", "fixtures/" + rest)
+        message = f"no packaged fixture {rest!r}"
+        assert invoke(*argv) == (2, "", f"error: {message}\n")
+        code, payload, err = invoke_json(*argv)
+        assert (code, err) == (2, f"error: {message}\n")
+        assert payload["witness"] == {"message": message}
+
     def test_parse_error_reports_position(self, tmp_path):
         source = tmp_path / "bad.mpst"
         source.write_text("p?l(nat).")
@@ -189,6 +213,14 @@ class TestProject:
     def test_participant_the_grammar_rejects_is_usage_error(
             self, command, file, participant, message):
         assert invoke(command, file, participant) == (2, "", f"error: {message}\n")
+
+    def test_role_the_global_type_never_names_gets_a_note(self):
+        assert invoke("project", "fixtures/sec3_global.gt", "zz") == (
+            0, "end\n", "note: zz is not a participant of fixtures/sec3_global.gt\n")
+        code, payload, err = invoke_json("project", "fixtures/sec3_global.gt", "zz")
+        assert (code, payload["witness"], payload["verdict"]) == (0, "end", "ok")
+        assert err == "note: zz is not a participant of fixtures/sec3_global.gt\n"
+        assert invoke("project", "fixtures/sec3_global.gt", "r")[2] == ""
 
     def test_undefined_merge_is_negative(self):
         code, out, _ = invoke("project", "fixtures/ex1_nochain.gt", "r")
@@ -603,7 +635,10 @@ def test_mutated_fixtures_end_in_a_documented_exit_code(tmp_path):
         mutant.write_text(mutate(rng, fixture.read_text()))
         m, original = str(mutant), f"fixtures/{fixture.name}"
         participant = mutate(rng, "p")
-        path = "fixtures/" + mutate(rng, rng.choice(("", fixture.name)))
+        rest = rng.choice((mutate(rng, rng.choice(("", fixture.name))),
+                           m, "../" + mutate(rng, fixture.name), "../cli.py"))
+        path = "fixtures/" + rest
+        escapes = os.path.isabs(rest) or ".." in pathlib.PurePath(rest).parts
         for argv in (("parse", m), ("subtype", m, original),
                      ("precise", m, original, "--fuel", "200"),
                      ("stuck", m, "--fuel", "200"), ("run", m, "--fuel", "50"),
@@ -617,6 +652,24 @@ def test_mutated_fixtures_end_in_a_documented_exit_code(tmp_path):
                 pytest.fail(f"{argv} on {mutant.read_text()!r} raised {e!r}")
             assert code in (0, 1, 2), (argv[0], mutant.read_text())
             assert "InternalError" not in err, (argv[0], mutant.read_text())
+            if path in argv and escapes:
+                assert (code, err) == (2, f"error: no packaged fixture {rest!r}\n")
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    src = str(pathlib.Path(mpst.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def modules(code):
+        done = subprocess.run(
+            [sys.executable, "-c", code + "import sys; print(*sys.modules)"],
+            capture_output=True, text=True, env=env, check=True)
+        return set(done.stdout.split())
+
+    loaded = modules("import mpst.cli; ") - modules("pass; ")
+    assert "mpst.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_every_module_compiles_with_warnings_as_errors():

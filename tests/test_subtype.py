@@ -1,6 +1,5 @@
 """Subtyping: the coinductive checker, the inductive negation, and decide."""
 
-import dataclasses
 import hashlib
 import random
 import sys
@@ -406,11 +405,12 @@ class TestDerivationChecker:
         check_derivation(d)
         end = NsubDerivation("nsub-endR", T("end"), T("p!l(nat).end"))
         broken = [
-            dataclasses.replace(d, rule="nsub-endL"),
-            dataclasses.replace(d, children=d.children[:-1]),
-            dataclasses.replace(d, children=d.children + (end,)),
-            dataclasses.replace(d, children=(end,) * len(d.children)),
-            dataclasses.replace(d, left=d.right, right=d.left),
+            NsubDerivation("nsub-endL", d.left, d.right, d.children, d.note),
+            NsubDerivation(d.rule, d.left, d.right, d.children[:-1], d.note),
+            NsubDerivation(d.rule, d.left, d.right, d.children + (end,), d.note),
+            NsubDerivation(d.rule, d.left, d.right, (end,) * len(d.children),
+                           d.note),
+            NsubDerivation(d.rule, d.right, d.left, d.children, d.note),
         ]
         for bad in broken:
             with pytest.raises(AssertionError):

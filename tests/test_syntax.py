@@ -1,13 +1,15 @@
 """Syntax trees: constructor invariants, printing, parsing, and helpers."""
 
 import copy
-import dataclasses
+import importlib
+import pathlib
 import pickle
 import random
 
 import pytest
 
 import gen
+import mpst
 from conftest import subterm_closure
 from mpst import (
     DuplicateLabel,
@@ -40,6 +42,12 @@ from mpst.syntax import (
     subst,
     unfold_spine,
 )
+
+
+def declared_fields(cls) -> list[str]:
+    """The fields a class declares as annotations, base classes first."""
+    return [f for c in reversed(cls.__mro__)
+            for f in vars(c).get("__annotations__", {})]
 
 
 class TestPrinting:
@@ -342,7 +350,9 @@ class TestCachedHash:
         for node in (t, t.body, t.body.branches[0], S.Var("x"),
                      parse_session("@p q!l(1).0 || @q p?l(x).0")):
             hash(node)
-            assert "_hash" not in {f.name for f in dataclasses.fields(node)}
+            assert type(node)._fields == tuple(declared_fields(type(node)))
+            assert "_hash" not in declared_fields(type(node))
+            assert "_hash" not in repr(node)
 
     def test_cached_hash_is_not_pickled(self):
         t = parse_session("@p q!l(1).0 || @q p?l(x).0")
@@ -357,11 +367,86 @@ class TestCachedHash:
         for node in (m, S.Var("x"), S.ProcVar("X")):
             free_vars(node)
             participants_of(node)
-            clone = pickle.loads(pickle.dumps(node))
-            assert clone == node and clone._free is None
-            assert clone._parts is None
+            assert str(node) is str(node)
+            for clone in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node)):
+                assert clone == node and clone._free is None
+                assert clone._parts is None and clone._text is None
+                assert str(clone) == str(node)
 
     def test_variables_of_different_categories_differ(self):
         assert S.Var("x") != S.ProcVar("x")
         assert S.TVar("t") != S.GVar("t")
         assert len({S.Var("x"), S.ProcVar("x"), S.Var("x")}) == 2
+
+
+def _value_classes():
+    """Every term and record class of the package that is not a base (named
+    with `_`)."""
+    package = pathlib.Path(mpst.__file__).parent
+    modules = [importlib.import_module(f"mpst.{p.stem}")
+               for p in package.glob("*.py") if not p.stem.startswith("__")]
+    return {c for m in modules for name, c in vars(m).items()
+            if isinstance(c, type) and issubclass(c, S.Record)
+            and c.__module__ == m.__name__ and not name.startswith("_")
+            and c is not S.Record}
+
+
+def _values_below(roots):
+    """The values in roots and every value reachable through their fields."""
+    seen, stack = [], list(roots)
+    while stack:
+        x = stack.pop()
+        if isinstance(x, tuple):
+            stack.extend(x)
+        elif isinstance(x, S.Record) and not any(x is y for y in seen):
+            seen.append(x)
+            stack.extend(getattr(x, f) for f in declared_fields(type(x)))
+    return seen
+
+
+class TestImmutableValues:
+    def samples(self):
+        e = S.Gt(S.Choice(S.Neg(S.Succ(S.Var("x"))), S.Not(S.BoolLit(True))),
+                 S.IntLit(-1))
+        t, u = parse_session_type("p?l(nat).end"), parse_session_type("end")
+        m = parse_session("@p mu X.(q!l(1).X + (if true then 0 else X)) "
+                          "|| @q q1?m(x).0 || @q1 q!m(2).0")
+        stuck = mpst.stuck_search(parse_session(
+            "@p q!l(1).q!n(2).0 || @q p?l(x).p?m(y).0"), 10)
+        g = parse_global_type("p -> q : l(nat).end")
+        return [e, m, mpst.nsub(t, u), mpst.decide(t, u), stuck,
+                mpst.preciseness_check(t, u, 100),
+                parse_global_type("mu t.p -> q : l(nat).t"),
+                parse_session_type("mu t.p!l(nat).t"),
+                g, *mpst.frontier_actions(g)]
+
+    def test_every_value_class_is_sampled(self):
+        assert {type(x) for x in _values_below(self.samples())} == _value_classes()
+
+    def test_fields_can_be_neither_set_nor_deleted(self):
+        for x in _values_below(self.samples()):
+            assert not hasattr(x, "__dict__"), type(x)
+            before = repr(x)
+            for f in declared_fields(type(x)) + ["_hash", "extra"]:
+                with pytest.raises(AttributeError):
+                    setattr(x, f, None)
+                with pytest.raises(AttributeError):
+                    delattr(x, f)
+            assert repr(x) == before
+
+    def test_repr_names_every_declared_field(self):
+        b = TBranch("l", Sort.NAT, TEnd())
+        assert repr(b) == (
+            "TBranch(label='l', sort=<Sort.NAT: 'nat'>, cont=TEnd())")
+        assert repr(S.ProcVar("X")) == "ProcVar(name='X')"
+        assert repr(mpst.NsubDerivation("r", TEnd(), TEnd())) == (
+            "NsubDerivation(rule='r', left=TEnd(), right=TEnd(), "
+            "children=(), note='')")
+
+    def test_fields_are_taken_by_position_or_keyword(self):
+        b = TBranch(cont=TEnd(), label="l", sort=Sort.NAT)
+        assert b == TBranch("l", Sort.NAT, TEnd())
+        with pytest.raises(TypeError):
+            TBranch("l", Sort.NAT)
+        with pytest.raises(TypeError):
+            TBranch("l", Sort.NAT, TEnd(), wrong=1)
