@@ -113,6 +113,9 @@ class TestParsing:
     def test_missing_continuation_defaults_to_end(self):
         assert parse_session_type("p?l(nat)") == parse_session_type("p?l(nat).end")
 
+    def test_parenthesised_global_type(self):
+        assert show(parse_global_type("(p -> q : l(nat))")) == "p -> q : l(nat).end"
+
     def test_parse_error_reports_position(self):
         with pytest.raises(ParseError) as exc:
             parse_session_type("p?l(nat).")
@@ -199,6 +202,28 @@ class TestConstructorInvariants:
                         parse_process("q?b(x).0 + q?c(x).0")])
         assert show(e) == "q?a(x).0 + q?b(x).0 + q?c(x).0"
         assert len(e.branches) == 3
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TIn("q", ()), "intersection needs at least one branch"),
+        (lambda: TOut("q", ()), "union needs at least one branch"),
+        (lambda: S.GComm("p", "q", ()), "communication needs at least one branch"),
+        (lambda: TIn("1x", (TBranch("l", Sort.NAT, TEnd()),)),
+         "bad participant: '1x'"),
+        (lambda: TOut("q", (TBranch("1l", Sort.NAT, TEnd()),)), "bad label: '1l'"),
+        (lambda: S.GBranch("1l", Sort.NAT, S.GEnd()), "bad label: '1l'"),
+        (lambda: S.ExtChoice((S.Inact(),)),
+         "external choice needs at least two branches"),
+        (lambda: S.ExtChoice((parse_process("q?a(x).0"),
+                              parse_process("q?b(x).0 + q?c(x).0"))),
+         "external choice must be flattened"),
+        (lambda: ext_choice([]), "empty external choice"),
+        (lambda: Session(()), "a session needs at least one participant"),
+        (lambda: parse("p", "type"), "unknown category 'type'"),
+    ])
+    def test_every_constructor_message(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
 
     def test_branches_stored_sorted(self):
         t = TIn("q", (TBranch("l2", Sort.INT, TEnd()),
@@ -327,6 +352,11 @@ class TestCaptureAvoidingRenaming:
         g = parse_global_type("mu u.p -> q : l(nat).t")
         assert show(subst(g, S.GVar("t"), S.GVar("u"))) == (
             "mu u_1.p -> q : l(nat).u")
+
+    def test_renaming_skips_a_name_the_body_takes(self):
+        p = parse_process("q?l(x).p!m(y).q!n(x_1).0")
+        assert show(subst(p, S.Var("y"), S.Var("x"))) == (
+            "q?l(x_2).p!m(x).q!n(x_1).0")
 
 
 class TestCachedHash:
