@@ -180,7 +180,7 @@ def gen_process(rng, depth, roles=ROLES, labels=LABELS, vars=(),
         var = rng.choice(("x", "y", "z"))
         return S.Input(rng.choice(roles), rng.choice(labels), var,
                        gen_process(rng, depth - 1, roles, labels,
-                                   tuple(set(vars) | {var}), allow_rec,
+                                   tuple(dict.fromkeys((*vars, var))), allow_rec,
                                    inner))
     if kind == "out":
         return S.Output(rng.choice(roles), rng.choice(labels),
@@ -199,7 +199,7 @@ def gen_process(rng, depth, roles=ROLES, labels=LABELS, vars=(),
     summands = tuple(
         S.Input(role, lab, "x",
                 gen_process(rng, depth - 1, roles, labels,
-                            tuple(set(vars) | {"x"}), allow_rec, inner))
+                            tuple(dict.fromkeys((*vars, "x"))), allow_rec, inner))
         for lab in chosen)
     return S.ExtChoice(summands)
 

@@ -2,9 +2,12 @@
 
 import copy
 import importlib
+import os
 import pathlib
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -480,3 +483,21 @@ class TestImmutableValues:
             TBranch("l", Sort.NAT)
         with pytest.raises(TypeError):
             TBranch("l", Sort.NAT, TEnd(), wrong=1)
+
+
+def test_generated_processes_do_not_depend_on_the_hash_seed():
+    """A seeded draw of `gen_process` prints the same text in interpreters
+    with different string hashes, so a failure found with it reproduces."""
+    tests = pathlib.Path(__file__).parent
+    src = str(pathlib.Path(mpst.__file__).parent.parent)
+    code = ("import random, gen\n"
+            "for s in range(300):\n"
+            "    print(gen.gen_process(random.Random(s), 3, roles=('a', 'b')))\n")
+
+    def draws(seed):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(tests), src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True).stdout
+
+    assert draws("1") == draws("2")
