@@ -68,14 +68,13 @@ from .subtyping import (
     sub,
 )
 from .syntax import (
-    GBranch,
+    Branch,
     GComm,
     GEnd,
     GRec,
     GVar,
     Session,
     Sort,
-    TBranch,
     TEnd,
     TIn,
     TOut,

@@ -45,7 +45,7 @@ def char_global(t: S.SessionType, p: str) -> S.GlobalType:
             sender = roles[(start + k) % n]
             receiver = roles[(start + k + 1) % n]
             g = S.GComm(sender, receiver,
-                        (S.GBranch(label, S.Sort.BOOL, g),))
+                        (S.Branch(label, S.Sort.BOOL, g),))
         return g
 
     def go(t: S.SessionType) -> S.GlobalType:
@@ -55,21 +55,19 @@ def char_global(t: S.SessionType, p: str) -> S.GlobalType:
             return S.GVar(t.name)
         if isinstance(t, S.TRec):
             return S.GRec(t.var, go(t.body))
-        partner = t.sender if isinstance(t, S.TIn) else t.receiver
-        start = roles.index(partner)
+        start = roles.index(t.partner)
         branches = tuple(
-            S.GBranch(br.label, br.sort, chain(go(br.cont), br.label, start))
+            S.Branch(br.label, br.sort, chain(go(br.cont), br.label, start))
             for br in t.branches)
-        if isinstance(t, S.TIn):
-            return S.GComm(partner, p, branches)
-        return S.GComm(p, partner, branches)
+        ends = (t.partner, p) if isinstance(t, S.TIn) else (p, t.partner)
+        return S.GComm(*ends, branches)
 
     return go(t)
 
 
 _PROBE_VALUES = {
-    S.Sort.NAT: S.NatLit(5),
-    S.Sort.INT: S.IntLit(-5),
+    S.Sort.NAT: S.Num(5),
+    S.Sort.INT: S.Num(-5),
     S.Sort.BOOL: S.BoolLit(True),
 }
 
@@ -77,9 +75,9 @@ _PROBE_VALUES = {
 def _probe(var: str, sort: S.Sort) -> S.Expr:
     x = S.Var(var)
     if sort is S.Sort.NAT:
-        return S.Gt(S.Succ(x), S.NatLit(0))
+        return S.Gt(S.Succ(x), S.Num(0))
     if sort is S.Sort.INT:
-        return S.Gt(S.Neg(x), S.NatLit(0))
+        return S.Gt(S.Neg(x), S.Num(0))
     return S.Not(x)
 
 
@@ -95,9 +93,9 @@ def char_proc(t: S.SessionType) -> S.Process:
         for br in t.branches:
             cont = char_proc(br.cont)
             body = S.Cond(_probe("x", br.sort), cont, cont)
-            summands.append(S.Input(t.sender, br.label, "x", body))
+            summands.append(S.Input(t.partner, br.label, "x", body))
         return S.ext_choice(summands)
-    arms = [S.Output(t.receiver, br.label, _PROBE_VALUES[br.sort],
+    arms = [S.Output(t.partner, br.label, _PROBE_VALUES[br.sort],
                      char_proc(br.cont))
             for br in t.branches]
     result = arms[-1]

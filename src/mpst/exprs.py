@@ -1,13 +1,12 @@
 """Nondeterministic evaluation and sort inference for expressions.
 
 Values are the literal expressions, as in the calculus: a number evaluates
-to the literal of its minimal sort (`S.int_literal`, so a non-negative number
-is always a `NatLit`), a boolean to a `BoolLit`.  Evaluation is set-valued
-because of the nondeterministic choice operator: `eval_all` returns exactly
-the set of values the evaluation relation can produce.  An empty set means
-the expression is stuck, e.g. succ(-5): the successor rule applies to
-naturals only, and the context rule evaluates the argument first, so no
-derivation exists.  Variables have no evaluation rule at all, so a free
+to a `Num`, of sort nat when non-negative and int otherwise, a boolean to a
+`BoolLit`.  Evaluation is set-valued because of the nondeterministic choice
+operator: `eval_all` returns exactly the set of values the evaluation
+relation can produce.  An empty set means the expression is stuck, e.g.
+succ(-5): the successor rule applies to naturals only, and the context rule
+evaluates the argument first, so no derivation exists.  Variables have no evaluation rule at all, so a free
 variable is stuck too.
 """
 
@@ -20,23 +19,18 @@ from .errors import TypingError
 # Evaluation
 # --------------------------------------------------------------------------
 
-_NUMBERS = (S.NatLit, S.IntLit)
-
-
 def eval_all(e: S.Expr) -> frozenset[S.Expr]:
     """The exact set of values `e` can evaluate to (empty when stuck)."""
-    if isinstance(e, (S.NatLit, S.BoolLit)):
+    if isinstance(e, (S.Num, S.BoolLit)):
         return frozenset({e})
-    if isinstance(e, S.IntLit):
-        return frozenset({S.int_literal(e.value)})
     if isinstance(e, S.Var):
         return frozenset()
     if isinstance(e, S.Succ):
-        return frozenset(S.NatLit(v.value + 1)
-                         for v in eval_all(e.arg) if isinstance(v, S.NatLit))
+        return frozenset(S.Num(v.value + 1) for v in eval_all(e.arg)
+                         if isinstance(v, S.Num) and v.value >= 0)
     if isinstance(e, S.Neg):
-        return frozenset(S.int_literal(-v.value)
-                         for v in eval_all(e.arg) if isinstance(v, _NUMBERS))
+        return frozenset(S.Num(-v.value)
+                         for v in eval_all(e.arg) if isinstance(v, S.Num))
     if isinstance(e, S.Not):
         return frozenset(S.BoolLit(not v.value)
                          for v in eval_all(e.arg) if isinstance(v, S.BoolLit))
@@ -45,10 +39,10 @@ def eval_all(e: S.Expr) -> frozenset[S.Expr]:
     if isinstance(e, S.Gt):
         out = set()
         for a in eval_all(e.left):
-            if not isinstance(a, _NUMBERS):
+            if not isinstance(a, S.Num):
                 continue
             for b in eval_all(e.right):
-                if isinstance(b, _NUMBERS):
+                if isinstance(b, S.Num):
                     out.add(S.BoolLit(a.value > b.value))
         return frozenset(out)
     raise TypeError(f"not an expression: {e!r}")
@@ -83,9 +77,7 @@ def infer_sort(env: dict[str, S.Sort], e: S.Expr, path: tuple[str, ...] = ()) ->
         if e.name not in env:
             raise TypingError(f"unbound variable {e.name}", "unboundVariable", path)
         return env[e.name]
-    if isinstance(e, S.NatLit):
-        return S.Sort.NAT
-    if isinstance(e, S.IntLit):
+    if isinstance(e, S.Num):
         return S.Sort.NAT if e.value >= 0 else S.Sort.INT
     if isinstance(e, S.BoolLit):
         return S.Sort.BOOL

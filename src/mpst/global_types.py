@@ -53,13 +53,13 @@ def merge(a: S.SessionType, b: S.SessionType) -> S.SessionType:
         return a
     ua = S.unfold_spine(a)
     ub = S.unfold_spine(b)
-    if isinstance(ua, S.TIn) and isinstance(ub, S.TIn) and ua.sender == ub.sender:
+    if isinstance(ua, S.TIn) and isinstance(ub, S.TIn) and ua.partner == ub.partner:
         labels_a = {br.label for br in ua.branches}
         labels_b = {br.label for br in ub.branches}
         if labels_a & labels_b:
             raise MergeUndefined(
                 f"intersections overlap on {sorted(labels_a & labels_b)}: {a} vs {b}")
-        return S.TIn(ua.sender, ua.branches + ub.branches)
+        return S.TIn(ua.partner, ua.branches + ub.branches)
     raise MergeUndefined(f"cannot merge {a} with {b}")
 
 
@@ -104,13 +104,11 @@ def project(g: S.GlobalType, role: str) -> S.SessionType:
                         f"needs {needed}")
             return result
         if isinstance(u, S.GComm):
-            if role == u.sender:
-                return S.TOut(u.receiver, tuple(
-                    S.TBranch(b.label, b.sort, go(b.cont, path + (b.label,), pending))
-                    for b in u.branches))
-            if role == u.receiver:
-                return S.TIn(u.sender, tuple(
-                    S.TBranch(b.label, b.sort, go(b.cont, path + (b.label,), pending))
+            if role in (u.sender, u.receiver):
+                kind, partner = ((S.TOut, u.receiver) if role == u.sender
+                                 else (S.TIn, u.sender))
+                return kind(partner, tuple(
+                    S.Branch(b.label, b.sort, go(b.cont, path + (b.label,), pending))
                     for b in u.branches))
             acc: S.SessionType | None = None
             for b in u.branches:
@@ -180,7 +178,7 @@ def consume(g: S.GlobalType, action: CommAction) -> S.GlobalType:
                 f"{action} overlaps the communication {u.sender} -> {u.receiver}")
         still_open.add(u)
         out = S.GComm(u.sender, u.receiver, tuple(
-            S.GBranch(b.label, b.sort, go(b.cont)) for b in u.branches))
+            S.Branch(b.label, b.sort, go(b.cont)) for b in u.branches))
         still_open.remove(u)
         memo[u] = out
         return out

@@ -161,7 +161,7 @@ class _Parser:
         if t.kind == "num":
             self.next()
             try:
-                return S.int_literal(int(t.text))
+                return S.Num(int(t.text))
             except ValueError:  # more digits than sys.get_int_max_str_digits()
                 raise ParseError("number too long", t.line, t.col) from None
         if self.accept("true") or self.accept("false"):
@@ -253,7 +253,7 @@ class _Parser:
         want, kind, wrong_member = _JUNCTIONS[conn]
         if not all(isinstance(m, want) for m in members):
             raise ParseError(wrong_member, start.line, start.col)
-        roles = {r for m in members for r in m._roles(m)}
+        roles = {m.partner for m in members}
         if len(roles) != 1:
             raise ParseError(f"{kind} members must share one partner, got {sorted(roles)}",
                              start.line, start.col)
@@ -277,7 +277,7 @@ class _Parser:
         sort = self.sort()
         self.eat(")")
         cont = self.type_cont() if self.accept(".") else S.TEnd()
-        return prefix(name, (S.TBranch(label, sort, cont),))
+        return prefix(name, (S.Branch(label, sort, cont),))
 
     def type_cont(self) -> S.SessionType:
         return self.session_type() if self.at("mu") else self.type_item()
@@ -316,12 +316,12 @@ class _Parser:
             self.eat("}")
         return S.GComm(sender, receiver, tuple(branches))
 
-    def global_branch(self) -> S.GBranch:
+    def global_branch(self) -> S.Branch:
         label = self.label()
         sort = self.sort()
         self.eat(")")
         cont = self.global_type() if self.accept(".") else S.GEnd()
-        return S.GBranch(label, sort, cont)
+        return S.Branch(label, sort, cont)
 
 
 _RULES = {

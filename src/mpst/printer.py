@@ -13,7 +13,7 @@ from .errors import NumberTooLong
 def show_expr(e: S.Expr, level: int = 0) -> str:
     if isinstance(e, S.Var):
         return e.name
-    if isinstance(e, (S.NatLit, S.IntLit)):
+    if isinstance(e, S.Num):
         return show_int(e.value)
     if isinstance(e, S.BoolLit):
         return "true" if e.value else "false"
@@ -73,6 +73,9 @@ def _cont(p: S.Process) -> str:
     return show_proc(p)
 
 
+_JUNCTIONS = {S.TIn: ("?", " & "), S.TOut: ("!", " \\/ ")}
+
+
 def show_type(t: S.SessionType) -> str:
     if isinstance(t, S.TEnd):
         return "end"
@@ -80,12 +83,10 @@ def show_type(t: S.SessionType) -> str:
         return t.name
     if isinstance(t, S.TRec):
         return f"mu {t.var}.{show_type(t.body)}"
-    if isinstance(t, S.TIn):
-        return " & ".join([f"{t.sender}?{b.label}({b.sort}).{_tcont(b.cont)}"
-                           for b in t.branches])
-    if isinstance(t, S.TOut):
-        return " \\/ ".join([f"{t.receiver}!{b.label}({b.sort}).{_tcont(b.cont)}"
-                               for b in t.branches])
+    if isinstance(t, (S.TIn, S.TOut)):
+        mark, junction = _JUNCTIONS[type(t)]
+        return junction.join([f"{t.partner}{mark}{b.label}({b.sort}).{_tcont(b.cont)}"
+                              for b in t.branches])
     raise TypeError(f"not a session type: {t!r}")
 
 

@@ -44,7 +44,7 @@ def _sub(a: S.SessionType, b: S.SessionType, theta: frozenset) -> bool:
         return True
     if isinstance(a, (S.TEnd, S.TVar)):
         return a == b
-    if isinstance(a, S.TIn) and isinstance(b, S.TIn) and a.sender == b.sender:
+    if isinstance(a, S.TIn) and isinstance(b, S.TIn) and a.partner == b.partner:
         left = {br.label: br for br in a.branches}
         if not all(br.label in left and subsort(br.sort, left[br.label].sort)
                    for br in b.branches):
@@ -52,7 +52,7 @@ def _sub(a: S.SessionType, b: S.SessionType, theta: frozenset) -> bool:
         grown = theta | {(a, b)}
         return all(_sub(left[br.label].cont, br.cont, grown)
                    for br in b.branches)
-    if isinstance(a, S.TOut) and isinstance(b, S.TOut) and a.receiver == b.receiver:
+    if isinstance(a, S.TOut) and isinstance(b, S.TOut) and a.partner == b.partner:
         right = {br.label: br for br in b.branches}
         if not all(br.label in right and subsort(br.sort, right[br.label].sort)
                    for br in a.branches):
@@ -89,13 +89,7 @@ def format_derivation(d: NsubDerivation, indent: int = 0) -> str:
 
 
 def _singleton(t, i: int):
-    if isinstance(t, S.TIn):
-        return S.TIn(t.sender, (t.branches[i],))
-    return S.TOut(t.receiver, (t.branches[i],))
-
-
-def _role(t) -> str:
-    return t.sender if isinstance(t, S.TIn) else t.receiver
+    return type(t)(t.partner, (t.branches[i],))
 
 
 def nsub(a: S.SessionType, b: S.SessionType) -> NsubDerivation:
@@ -158,7 +152,7 @@ def nsub(a: S.SessionType, b: S.SessionType) -> NsubDerivation:
         return NsubDerivation("nsub-intL-uniR", x, y, tuple(kids))
 
     def _prefixes(x, y, visited: frozenset) -> NsubDerivation | None:
-        if _role(x) != _role(y):
+        if x.partner != y.partner:
             return NsubDerivation("nsub-diff-part", x, y)
         if isinstance(x, S.TOut) and isinstance(y, S.TIn):
             return NsubDerivation("nsub-out-in", x, y)

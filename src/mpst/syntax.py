@@ -13,7 +13,10 @@ the well-formedness conditions the rest of the package relies on:
   * nobody communicates with themselves (global types and session entries).
 
 Every term class declares its shape once: which fields hold subterms, which
-name participants, and which variable class a binder binds.  One traversal
+name participants, and which variable class a binder binds.  A shape shared
+by two categories is one class: a branch l(S).T is a `Branch` in session and
+global types alike, an intersection and a union name their one participant
+`partner`, and a number literal is a `Num` of either sort.  One traversal
 reads those declarations and gives free variables, participants,
 capture-avoiding substitution and unfolding for all categories.  Recursion
 is equi-recursive: a binder is identified with its unfolding, and the helpers
@@ -236,16 +239,9 @@ class Var(_Variable):
 
 
 @frozen
-class NatLit(_Shown):
-    value: int
+class Num(_Shown):
+    """A number literal: of sort nat when `value >= 0`, else of sort int."""
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("natural literal must be non-negative")
-
-
-@frozen
-class IntLit(_Shown):
     value: int
 
 
@@ -288,12 +284,7 @@ class Gt(_Shown):
     _kids = ("left", "right")
 
 
-Expr = Union[Var, NatLit, IntLit, BoolLit, Succ, Neg, Not, Choice, Gt]
-
-
-def int_literal(value: int) -> Expr:
-    """Literal with the minimal numeric tag: non-negatives are naturals."""
-    return NatLit(value) if value >= 0 else IntLit(value)
+Expr = Union[Var, Num, BoolLit, Succ, Neg, Not, Choice, Gt]
 
 
 # --------------------------------------------------------------------------
@@ -459,10 +450,12 @@ class Session(_Shown):
 
 
 @frozen
-class TBranch(_Term):
+class Branch(_Term):
+    """A branch l(S).T of an intersection, a union or a global communication."""
+
     label: str
     sort: Sort
-    cont: "SessionType"
+    cont: "SessionType | GlobalType"
     _kids = ("cont",)
 
     def __post_init__(self) -> None:
@@ -486,33 +479,33 @@ def _sorted_branches(branches: tuple, what: str) -> tuple:
 
 
 @frozen
-class TIn(_Shown):
-    """Intersection of input prefixes, all from the same sender."""
+class _Prefixes(_Shown):
+    """An intersection or a union: branches that all have one partner.  Each
+    subclass names itself in `_junction`, for error messages."""
 
-    sender: str
-    branches: tuple[TBranch, ...]
+    partner: str
+    branches: tuple[Branch, ...]
     _kids = ("branches",)
     _many = True
-    _names = ("sender",)
+    _names = ("partner",)
 
     def __post_init__(self) -> None:
-        _require_ident(self.sender, "participant")
-        object.__setattr__(self, "branches", _sorted_branches(self.branches, "intersection"))
+        _require_ident(self.partner, "participant")
+        object.__setattr__(self, "branches", _sorted_branches(self.branches, self._junction))
 
 
 @frozen
-class TOut(_Shown):
-    """Union of output prefixes, all towards the same receiver."""
+class TIn(_Prefixes):
+    """Intersection of input prefixes, all from the same partner."""
 
-    receiver: str
-    branches: tuple[TBranch, ...]
-    _kids = ("branches",)
-    _many = True
-    _names = ("receiver",)
+    _junction = "intersection"
 
-    def __post_init__(self) -> None:
-        _require_ident(self.receiver, "participant")
-        object.__setattr__(self, "branches", _sorted_branches(self.branches, "union"))
+
+@frozen
+class TOut(_Prefixes):
+    """Union of output prefixes, all towards the same partner."""
+
+    _junction = "union"
 
 
 @frozen
@@ -541,21 +534,10 @@ SessionType = Union[TIn, TOut, TRec, TVar, TEnd]
 
 
 @frozen
-class GBranch(_Term):
-    label: str
-    sort: Sort
-    cont: "GlobalType"
-    _kids = ("cont",)
-
-    def __post_init__(self) -> None:
-        _require_ident(self.label, "label")
-
-
-@frozen
 class GComm(_Shown):
     sender: str
     receiver: str
-    branches: tuple[GBranch, ...]
+    branches: tuple[Branch, ...]
     _kids = ("branches",)
     _many = True
     _names = ("sender", "receiver")

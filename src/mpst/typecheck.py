@@ -67,8 +67,8 @@ def check_process(gamma: dict, env: dict, p: S.Process, t: S.SessionType,
         if not isinstance(t, S.TIn):
             raise _fail(f"input choice from {partner} against non-input type {t}",
                         "t-in-choice", path)
-        if t.sender != partner:
-            raise _fail(f"input expects partner {t.sender}, process receives "
+        if t.partner != partner:
+            raise _fail(f"input expects partner {t.partner}, process receives "
                         f"from {partner}", "t-in-choice", path)
         by_label = {q.label: q for q in parts}
         for br in t.branches:
@@ -86,8 +86,8 @@ def check_process(gamma: dict, env: dict, p: S.Process, t: S.SessionType,
         if not isinstance(t, S.TOut):
             raise _fail(f"output to {p.partner} against non-output type {t}",
                         "t-out", path)
-        if t.receiver != p.partner:
-            raise _fail(f"output expects partner {t.receiver}, process sends "
+        if t.partner != p.partner:
+            raise _fail(f"output expects partner {t.partner}, process sends "
                         f"to {p.partner}", "t-out", path)
         branch = next((b for b in t.branches if b.label == p.label), None)
         if branch is None:
@@ -145,7 +145,7 @@ def synthesize_process(gamma: dict, env: dict, p: S.Process,
                 except TypingError as e:
                     err = e
                     continue
-                branches.append(S.TBranch(q.label, sort, cont))
+                branches.append(S.Branch(q.label, sort, cont))
                 break
             else:
                 raise _fail(f"no sort admits the body of {q.label}: {err}",
@@ -155,7 +155,7 @@ def synthesize_process(gamma: dict, env: dict, p: S.Process,
     if isinstance(p, S.Output):
         s = infer_sort(env, p.payload, path)
         cont = synthesize_process(gamma, env, p.body, path + (p.label,))
-        return S.TOut(p.partner, (S.TBranch(p.label, s, cont),))
+        return S.TOut(p.partner, (S.Branch(p.label, s, cont),))
 
     if isinstance(p, S.Cond):
         s = infer_sort(env, p.guard, path)
@@ -207,7 +207,7 @@ def _join(a: S.SessionType, b: S.SessionType, path: tuple) -> S.SessionType:
     na = S.unfold_spine(a)
     nb = S.unfold_spine(b)
     if (isinstance(na, S.TOut) and isinstance(nb, S.TOut)
-            and na.receiver == nb.receiver):
+            and na.partner == nb.partner):
         by_label = {br.label: br for br in na.branches}
         for br in nb.branches:
             other = by_label.get(br.label)
@@ -217,7 +217,7 @@ def _join(a: S.SessionType, b: S.SessionType, path: tuple) -> S.SessionType:
                   or not S.regular_tree_equal(br.cont, other.cont)):
                 raise _fail(f"branches disagree on label {br.label}",
                             "illegalUnion", path)
-        return S.TOut(na.receiver, tuple(by_label.values()))
+        return S.TOut(na.partner, tuple(by_label.values()))
     raise _fail(f"no union covers both {a} and {b}", "illegalUnion", path)
 
 

@@ -41,7 +41,7 @@ def gen_type(rng, depth, roles=ROLES, labels=LABELS, allow_rec=True,
     chosen = rng.sample(labels, min(count, len(labels)))
     inner = {v: True for v in tvars}
     branches = tuple(
-        S.TBranch(lab, rng.choice(SORTS),
+        S.Branch(lab, rng.choice(SORTS),
                   gen_type(rng, depth - 1, roles, labels, allow_rec, inner))
         for lab in chosen)
     if kind == "in":
@@ -72,25 +72,25 @@ def gen_supertype(rng, t, labels=LABELS, budget=12):
             sort = br.sort
             if sort is S.Sort.INT and rng.random() < 0.3:
                 sort = S.Sort.NAT
-            out.append(S.TBranch(br.label, sort,
+            out.append(S.Branch(br.label, sort,
                                  gen_supertype(rng, br.cont, labels,
                                                budget - 1)))
-        return S.TIn(t.sender, tuple(out))
+        return S.TIn(t.partner, tuple(out))
     branches = []
     for br in t.branches:
         sort = br.sort
         if sort is S.Sort.NAT and rng.random() < 0.3:
             sort = S.Sort.INT
-        branches.append(S.TBranch(br.label, sort,
+        branches.append(S.Branch(br.label, sort,
                                   gen_supertype(rng, br.cont, labels,
                                                 budget - 1)))
     closed = not S.free_vars(t)
     present = {br.label for br in branches}
     for lab in labels:
         if closed and lab not in present and rng.random() < 0.2:
-            branches.append(S.TBranch(lab, rng.choice(SORTS),
-                                      gen_type(rng, 1, (t.receiver,))))
-    return S.TOut(t.receiver, tuple(branches))
+            branches.append(S.Branch(lab, rng.choice(SORTS),
+                                      gen_type(rng, 1, (t.partner,))))
+    return S.TOut(t.partner, tuple(branches))
 
 
 def gen_global(rng, depth, roles=ROLES, labels=LABELS, _tvars=None):
@@ -118,7 +118,7 @@ def gen_global(rng, depth, roles=ROLES, labels=LABELS, _tvars=None):
     chosen = rng.sample(labels, count)
     inner = {v: True for v in tvars}
     branches = tuple(
-        S.GBranch(lab, rng.choice(SORTS),
+        S.Branch(lab, rng.choice(SORTS),
                   gen_global(rng, depth - 1, roles, labels, inner))
         for lab in chosen)
     return S.GComm(sender, receiver, branches)
@@ -132,9 +132,9 @@ def gen_expr(rng, depth, vars=()):
         kinds += ["succ", "neg", "not", "choice", "gt"]
     kind = rng.choice(kinds)
     if kind == "nat":
-        return S.NatLit(rng.randrange(10))
+        return S.Num(rng.randrange(10))
     if kind == "int":
-        return S.IntLit(rng.randrange(-10, 0))
+        return S.Num(rng.randrange(-10, 0))
     if kind == "bool":
         return S.BoolLit(rng.random() < 0.5)
     if kind == "var":

@@ -16,31 +16,28 @@ def evals(src):
 
 class TestValues:
     def test_minimal_sorts(self):
-        assert infer_sort({}, S.NatLit(5)) == Sort.NAT
-        assert infer_sort({}, S.IntLit(-5)) == Sort.INT
+        assert infer_sort({}, S.Num(5)) == Sort.NAT
+        assert infer_sort({}, S.Num(-5)) == Sort.INT
         assert infer_sort({}, S.BoolLit(True)) == Sort.BOOL
 
-    def test_natlit_must_be_non_negative(self):
-        with pytest.raises(ValueError):
-            S.NatLit(-1)
-
     def test_value_evaluates_to_itself(self):
-        for v in (S.NatLit(0), S.NatLit(7), S.IntLit(-3), S.BoolLit(False)):
+        for v in (S.Num(0), S.Num(7), S.Num(-3), S.BoolLit(False)):
             assert eval_all(v) == frozenset({v})
 
 
 class TestEvaluation:
     def test_literals(self):
-        assert evals("5") == frozenset({S.NatLit(5)})
-        assert evals("-5") == frozenset({S.IntLit(-5)})
+        assert evals("5") == frozenset({S.Num(5)})
+        assert evals("-5") == frozenset({S.Num(-5)})
         assert evals("true") == frozenset({S.BoolLit(True)})
 
     def test_non_negative_literal_is_a_natural(self):
-        assert eval_all(S.IntLit(3)) == frozenset({S.NatLit(3)})
+        assert evals("-0") == frozenset({S.Num(0)})
+        assert infer_sort({}, S.Num(0)) == Sort.NAT
 
     def test_succ(self):
-        assert evals("succ 4") == frozenset({S.NatLit(5)})
-        assert evals("succ succ 0") == frozenset({S.NatLit(2)})
+        assert evals("succ 4") == frozenset({S.Num(5)})
+        assert evals("succ succ 0") == frozenset({S.Num(2)})
 
     def test_succ_is_stuck_on_negatives_and_bools(self):
         assert evals("succ -5") == frozenset()
@@ -48,9 +45,9 @@ class TestEvaluation:
         assert evals("succ neg 3") == frozenset()
 
     def test_neg(self):
-        assert evals("neg 5") == frozenset({S.IntLit(-5)})
-        assert evals("neg -3") == frozenset({S.NatLit(3)})
-        assert evals("neg 0") == frozenset({S.NatLit(0)})
+        assert evals("neg 5") == frozenset({S.Num(-5)})
+        assert evals("neg -3") == frozenset({S.Num(3)})
+        assert evals("neg 0") == frozenset({S.Num(0)})
         assert evals("neg false") == frozenset()
 
     def test_not(self):
@@ -64,13 +61,13 @@ class TestEvaluation:
         assert evals("true > 1") == frozenset()
 
     def test_choice_collects_both_sides(self):
-        assert evals("1 (+) 2") == frozenset({S.NatLit(1), S.NatLit(2)})
-        assert evals("1 (+) 1") == frozenset({S.NatLit(1)})
+        assert evals("1 (+) 2") == frozenset({S.Num(1), S.Num(2)})
+        assert evals("1 (+) 1") == frozenset({S.Num(1)})
         assert evals("(1 (+) 2) > (1 (+) 2)") == frozenset(
             {S.BoolLit(True), S.BoolLit(False)})
 
     def test_choice_ignores_a_stuck_side(self):
-        assert evals("1 (+) succ true") == frozenset({S.NatLit(1)})
+        assert evals("1 (+) succ true") == frozenset({S.Num(1)})
         assert evals("succ true (+) not 0") == frozenset()
 
     def test_free_variable_is_stuck(self):

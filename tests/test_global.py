@@ -44,7 +44,7 @@ def reuse_names(g):
         return S.GRec(name, reuse_names(subst(g.body, S.GVar(g.var), S.GVar(name))))
     if isinstance(g, S.GComm):
         return S.GComm(g.sender, g.receiver, tuple(
-            S.GBranch(b.label, b.sort, reuse_names(b.cont)) for b in g.branches))
+            S.Branch(b.label, b.sort, reuse_names(b.cont)) for b in g.branches))
     return g
 
 

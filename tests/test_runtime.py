@@ -65,7 +65,7 @@ class TestStepAll:
         assert st.rule == "r-comm"
         assert st.line == "p --l(7)--> q"
         assert (st.source, st.label, st.target) == ("p", "l", "q")
-        assert st.value == S.NatLit(7)
+        assert st.value == S.Num(7)
         assert show(m2) == "@q p!m(7).0"
 
     def test_nondeterministic_payload_forks(self):

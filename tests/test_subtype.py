@@ -38,17 +38,11 @@ SUBSORTS = {(s, s) for s in S.Sort} | {(S.Sort.NAT, S.Sort.INT)}
 
 def members(t):
     """The single-branch members of an intersection or union."""
-    if isinstance(t, S.TIn):
-        return [S.TIn(t.sender, (br,)) for br in t.branches]
-    return [S.TOut(t.receiver, (br,)) for br in t.branches]
+    return [type(t)(t.partner, (br,)) for br in t.branches]
 
 
 def prefix(t, kind):
     return isinstance(t, kind) and len(t.branches) == 1
-
-
-def role(t):
-    return t.sender if isinstance(t, S.TIn) else t.receiver
 
 
 def premises(rule, x, y):
@@ -61,7 +55,7 @@ def premises(rule, x, y):
     if rule == "nsub-endR":
         return [[]] if isinstance(x, S.TEnd) and isinstance(y, prefixes) else []
     if rule == "nsub-diff-part":
-        ok = prefix(x, prefixes) and prefix(y, prefixes) and role(x) != role(y)
+        ok = prefix(x, prefixes) and prefix(y, prefixes) and x.partner != y.partner
         return [[]] if ok else []
     if rule == "nsub-out-in":
         return [[]] if prefix(x, S.TOut) and prefix(y, S.TIn) else []
@@ -69,7 +63,7 @@ def premises(rule, x, y):
         return [[]] if prefix(x, S.TIn) and prefix(y, S.TOut) else []
     if rule in ("nsub-in-in", "nsub-out-out"):
         kind = S.TIn if rule == "nsub-in-in" else S.TOut
-        if not (prefix(x, kind) and prefix(y, kind) and role(x) == role(y)):
+        if not (prefix(x, kind) and prefix(y, kind) and x.partner == y.partner):
             return []
         bx, by = x.branches[0], y.branches[0]
         sorts = (by.sort, bx.sort) if kind is S.TIn else (bx.sort, by.sort)

@@ -20,7 +20,7 @@ from mpst import (
     SelfCommunication,
     Session,
     Sort,
-    TBranch,
+    Branch,
     TEnd,
     TIn,
     TOut,
@@ -101,11 +101,11 @@ class TestParsing:
 
     def test_inact_and_negative_literal(self):
         p = parse_process("q!l(-5).0")
-        assert p == S.Output("q", "l", S.IntLit(-5), S.Inact())
+        assert p == S.Output("q", "l", S.Num(-5), S.Inact())
 
     def test_comments_and_whitespace(self):
         t = parse_session_type("# leading note\n  p?l(nat)  .  end  # trailing\n")
-        assert t == TIn("p", (TBranch("l", Sort.NAT, TEnd()),))
+        assert t == TIn("p", (Branch("l", Sort.NAT, TEnd()),))
 
     def test_branch_order_is_canonical(self):
         a = parse_session_type("q?l2(int).end & q?l1(nat).end")
@@ -171,8 +171,8 @@ class TestParsing:
 class TestConstructorInvariants:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DuplicateLabel):
-            TIn("q", (TBranch("l", Sort.NAT, TEnd()),
-                      TBranch("l", Sort.INT, TEnd())))
+            TIn("q", (Branch("l", Sort.NAT, TEnd()),
+                      Branch("l", Sort.INT, TEnd())))
         with pytest.raises(DuplicateLabel):
             parse_session_type("q!l(nat).end \\/ q!l(int).end")
 
@@ -210,10 +210,10 @@ class TestConstructorInvariants:
         (lambda: TIn("q", ()), "intersection needs at least one branch"),
         (lambda: TOut("q", ()), "union needs at least one branch"),
         (lambda: S.GComm("p", "q", ()), "communication needs at least one branch"),
-        (lambda: TIn("1x", (TBranch("l", Sort.NAT, TEnd()),)),
+        (lambda: TIn("1x", (Branch("l", Sort.NAT, TEnd()),)),
          "bad participant: '1x'"),
-        (lambda: TOut("q", (TBranch("1l", Sort.NAT, TEnd()),)), "bad label: '1l'"),
-        (lambda: S.GBranch("1l", Sort.NAT, S.GEnd()), "bad label: '1l'"),
+        (lambda: TOut("q", (Branch("1l", Sort.NAT, TEnd()),)), "bad label: '1l'"),
+        (lambda: S.Branch("1l", Sort.NAT, S.GEnd()), "bad label: '1l'"),
         (lambda: S.ExtChoice((S.Inact(),)),
          "external choice needs at least two branches"),
         (lambda: S.ExtChoice((parse_process("q?a(x).0"),
@@ -229,8 +229,8 @@ class TestConstructorInvariants:
         assert str(exc.value) == message
 
     def test_branches_stored_sorted(self):
-        t = TIn("q", (TBranch("l2", Sort.INT, TEnd()),
-                      TBranch("l1", Sort.NAT, TEnd())))
+        t = TIn("q", (Branch("l2", Sort.INT, TEnd()),
+                      Branch("l1", Sort.NAT, TEnd())))
         assert show(t) == "q?l1(nat).end & q?l2(int).end"
 
 
@@ -331,7 +331,7 @@ class TestHelpers:
 
     def test_substitution_stops_at_shadowing_binder(self):
         p = parse_process("q!l(x).q?x1(x).q!l(x).0")
-        q = subst(p, S.Var("x"), S.NatLit(7))
+        q = subst(p, S.Var("x"), S.Num(7))
         assert show(q) == "q!l(7).q?x1(x).q!l(x).0"
 
 
@@ -440,7 +440,7 @@ def _values_below(roots):
 class TestImmutableValues:
     def samples(self):
         e = S.Gt(S.Choice(S.Neg(S.Succ(S.Var("x"))), S.Not(S.BoolLit(True))),
-                 S.IntLit(-1))
+                 S.Num(-1))
         t, u = parse_session_type("p?l(nat).end"), parse_session_type("end")
         m = parse_session("@p mu X.(q!l(1).X + (if true then 0 else X)) "
                           "|| @q q1?m(x).0 || @q1 q!m(2).0")
@@ -468,21 +468,21 @@ class TestImmutableValues:
             assert repr(x) == before
 
     def test_repr_names_every_declared_field(self):
-        b = TBranch("l", Sort.NAT, TEnd())
+        b = Branch("l", Sort.NAT, TEnd())
         assert repr(b) == (
-            "TBranch(label='l', sort=<Sort.NAT: 'nat'>, cont=TEnd())")
+            "Branch(label='l', sort=<Sort.NAT: 'nat'>, cont=TEnd())")
         assert repr(S.ProcVar("X")) == "ProcVar(name='X')"
         assert repr(mpst.NsubDerivation("r", TEnd(), TEnd())) == (
             "NsubDerivation(rule='r', left=TEnd(), right=TEnd(), "
             "children=(), note='')")
 
     def test_fields_are_taken_by_position_or_keyword(self):
-        b = TBranch(cont=TEnd(), label="l", sort=Sort.NAT)
-        assert b == TBranch("l", Sort.NAT, TEnd())
+        b = Branch(cont=TEnd(), label="l", sort=Sort.NAT)
+        assert b == Branch("l", Sort.NAT, TEnd())
         with pytest.raises(TypeError):
-            TBranch("l", Sort.NAT)
+            Branch("l", Sort.NAT)
         with pytest.raises(TypeError):
-            TBranch("l", Sort.NAT, TEnd(), wrong=1)
+            Branch("l", Sort.NAT, TEnd(), wrong=1)
 
 
 def test_generated_processes_do_not_depend_on_the_hash_seed():

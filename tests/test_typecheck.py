@@ -219,7 +219,7 @@ class TestSynthesize:
 
     def test_substituting_a_value_of_the_right_sort_preserves_typing(self):
         rng = random.Random(504)
-        lits = {Sort.NAT: S.NatLit(3), Sort.INT: S.IntLit(-3),
+        lits = {Sort.NAT: S.Num(3), Sort.INT: S.Num(-3),
                 Sort.BOOL: S.BoolLit(True)}
         ok = 0
         for _ in range(300):
