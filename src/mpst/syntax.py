@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import sys
-from operator import attrgetter, is_, lt
+from operator import attrgetter, lt
 from typing import Iterable, Union
 
 from .errors import DuplicateLabel, SelfCommunication, UnguardedRecursion
@@ -581,10 +581,7 @@ def children(t) -> tuple:
 
 
 def rebuild(t, kids):
-    """t with its children replaced by `kids`; t itself when every new child
-    is the old one, so unchanged subtrees stay shared."""
-    if all(map(is_, kids, children(t))):
-        return t
+    """t with its children replaced by `kids`."""
     if t._many:
         return type(t)(*t._fixed(t), tuple(kids))
     return type(t)(*t._fixed(t), *kids)
