@@ -15,12 +15,12 @@ import gen
 import mpst
 from conftest import subterm_closure
 from mpst import (
+    Branch,
     DuplicateLabel,
     ParseError,
     SelfCommunication,
     Session,
     Sort,
-    Branch,
     TEnd,
     TIn,
     TOut,
@@ -213,7 +213,6 @@ class TestConstructorInvariants:
         (lambda: TIn("1x", (Branch("l", Sort.NAT, TEnd()),)),
          "bad participant: '1x'"),
         (lambda: TOut("q", (Branch("1l", Sort.NAT, TEnd()),)), "bad label: '1l'"),
-        (lambda: S.Branch("1l", Sort.NAT, S.GEnd()), "bad label: '1l'"),
         (lambda: S.ExtChoice((S.Inact(),)),
          "external choice needs at least two branches"),
         (lambda: S.ExtChoice((parse_process("q?a(x).0"),
