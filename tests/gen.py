@@ -4,7 +4,9 @@ Everything takes an explicit random.Random so failures reproduce from the
 seed written in the test.
 """
 
-from mpst import decide
+import hashlib
+
+from mpst import MpstError, ParseError, decide, parse, show
 from mpst import syntax as S
 
 SORTS = (S.Sort.NAT, S.Sort.INT, S.Sort.BOOL)
@@ -228,3 +230,55 @@ def subtype_pairs(rng, count):
         else:
             b = gen_type(rng, rng.randint(0, 5))
         yield a, b
+
+
+# What an edit inserts: whitespace, comments, every character of a symbol,
+# a minus sign, an identifier and a digit, and characters no token takes.
+EDIT_ALPHABET = " \t\r\n\x0c#?!.&+>{}(),:@|\\/-_09pxé"
+
+
+def edited_texts(rng, count):
+    """`count` pairs (category, text): a term printed from the generators
+    above, or a participant name, with one to three edits, each inserting a
+    character of EDIT_ALPHABET or deleting one."""
+    for _ in range(count):
+        category = rng.choice(("expr", "process", "session", "sessiontype",
+                               "globaltype", "participant"))
+        depth = rng.randint(0, 3)
+        if category == "expr":
+            text = show(gen_expr(rng, depth, ("x", "y")))
+        elif category == "process":
+            text = show(gen_process(rng, depth))
+        elif category == "session":
+            text = " || ".join(f"@{role} {show(gen_process(rng, depth))}"
+                               for role in rng.sample(ROLES, 2))
+        elif category == "sessiontype":
+            text = show(gen_type(rng, depth))
+        elif category == "globaltype":
+            text = show(gen_global(rng, depth))
+        else:
+            text = rng.choice(ROLES + LABELS + ("end", "x_1"))
+        chars = list(text)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(chars) + 1)
+            if i < len(chars) and rng.random() < 0.3:
+                del chars[i]
+            else:
+                chars.insert(i, rng.choice(EDIT_ALPHABET))
+        yield category, "".join(chars)
+
+
+def parse_digest(rng, count):
+    """The sha256 of what `parse` makes of `edited_texts(rng, count)`, one
+    line per text (the term's repr, or the error with a ParseError's line
+    and column), and the number of texts rejected."""
+    digest, rejected = hashlib.sha256(), 0
+    for category, text in edited_texts(rng, count):
+        try:
+            outcome = repr(parse(text, category))
+        except ParseError as e:
+            outcome, rejected = f"{e} @{e.line},{e.col}", rejected + 1
+        except MpstError as e:
+            outcome, rejected = f"{type(e).__name__}: {e}", rejected + 1
+        digest.update(f"{outcome}\n".encode())
+    return digest.hexdigest(), rejected

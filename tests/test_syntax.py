@@ -161,11 +161,39 @@ class TestParsing:
         ("session", "@p 0 ||\n@p 0", "2:2: participant 'p' listed twice"),
         ("expr", "succ " + "9" * 4400, "1:6: number too long"),
         ("expr", "x (+)\n  $", "2:3: unexpected character '$'"),
+        ("sessiontype", "p?l(nat).  # note\n\n",
+         "3:1: expected a session type, got 'end of input'"),
+        ("participant", "  # only a comment",
+         "1:19: expected a participant, got 'end of input'"),
+        ("sessiontype", "p?(nat).end é", "1:13: unexpected character 'é'"),
+        ("expr", "-5 > --5", "1:6: unexpected character '-'"),
+        ("sessiontype", "p?l(nat).\r\n\tq!m(int).end end",
+         "2:15: trailing input, got 'end'"),
+        ("sessiontype", "p?l(nat).end\x0c", "1:13: unexpected character '\\x0c'"),
     ])
     def test_every_parse_error_message(self, category, src, message):
         with pytest.raises(ParseError) as exc:
             parse(src, category)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("category, src, term", [
+        ("sessiontype", "p?l(nat).end # é ² \n",
+         TIn("p", (Branch("l", Sort.NAT, TEnd()),))),
+        ("sessiontype", "p?l(nat).end #", TIn("p", (Branch("l", Sort.NAT, TEnd()),))),
+        ("expr", "x>-5", S.Gt(S.Var("x"), S.Num(-5))),
+        ("globaltype", "p->q:l(nat)",
+         S.GComm("p", "q", (Branch("l", Sort.NAT, S.GEnd()),))),
+    ])
+    def test_tokens_need_no_space_and_comments_take_any_character(
+            self, category, src, term):
+        assert parse(src, category) == term
+
+    def test_parse_outcomes_of_edited_texts_are_pinned(self):
+        # Printed random terms with seeded edits; the digest covers every
+        # term, error message and position.
+        assert gen.parse_digest(random.Random(14), 20_000) == (
+            "e2236cc9b99be46f838328dca25b1b483fa1284711ccd3cdf00e23ce4d90f290",
+            17_041)
 
 
 class TestConstructorInvariants:
