@@ -18,15 +18,15 @@ token and associates to the left; succ/neg/not are prefixes.  A continuation
 after '.' is a single item; parenthesise sums, conditionals and recursions.
 '&' and '\\/' chains cannot be mixed without parentheses.
 
-The parser tests a token by its text alone: the tokenizer turns every
-identifier that spells a keyword into a keyword token, and only symbol
-tokens spell symbols, so a keyword's or symbol's text names one token kind.
+One regular expression splits the source into token texts, and a text alone
+says what it is: a keyword or symbol spells itself, a name is any other
+identifier, a number is digits after an optional '-', and the end of input
+is ''.  A token's line and column are computed only for a ParseError.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from . import syntax as S
 from .errors import ParseError
@@ -36,12 +36,16 @@ _KEYWORDS = {
     "true", "false", "succ", "neg", "not",
 }
 
-# One alternative per token class; whitespace and comments match no group.
+# Whitespace and comments, then a token, the end, or any other character (an
+# error).  After the longest skip some alternative matches: no backtracking.
 _TOKEN = re.compile(r"""
-    (?P<nl>\n) | [ \t\r]+ | \#[^\n]*
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*) | (?P<num>-?[0-9]+)
-  | (?P<sym>\(\+\)|->|\|\||\\/|[?!.&+>{}(),:@]) | (?P<bad>.)
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    ( [A-Za-z_][A-Za-z0-9_]* | -?[0-9]+
+    | \(\+\) | -> | \|\| | \\/ | [?!.&+>{}(),:@] | \Z | . )
 """, re.VERBOSE)
+# Every one-character text a token may have.
+_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+                   "0123456789?!.&+>{}(),:@")
 
 _SORTS = {"nat": S.Sort.NAT, "int": S.Sort.INT, "bool": S.Sort.BOOL}
 _UNARY = {"succ": S.Succ, "neg": S.Neg, "not": S.Not}
@@ -54,54 +58,48 @@ _JUNCTIONS = {
 }
 
 
-class _Tok(NamedTuple):
-    kind: str  # ident | kw | num | sym | eof
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(src: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(src):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        if kind == "nl":
-            line, line_start = line + 1, m.end()
-            continue
-        text, col = m.group(), m.start() - line_start + 1
-        if kind == "bad":
-            raise ParseError(f"unexpected character {text!r}", line, col)
-        if kind == "ident" and text in _KEYWORDS:
-            kind = "kw"
-        toks.append(_Tok(kind, text, line, col))
-    toks.append(_Tok("eof", "", line, len(src) - line_start + 1))
+def _tokenize(src: str) -> list[str]:
+    """The token texts of `src`, ending in one or two empty texts."""
+    toks = _TOKEN.findall(src)
+    bad = [t for t in toks if len(t) == 1 and t not in _CHARS]
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}",
+                         *_position(src, toks.index(bad[0])))
     return toks
+
+
+def _position(src: str, index: int) -> tuple[int, int]:
+    """The line and column of token `index` of `src`; called only on error."""
+    start = list(_TOKEN.finditer(src))[index].start(1)
+    return src.count("\n", 0, start) + 1, start - src.rfind("\n", 0, start)
+
+
+def _is_name(tok: str) -> bool:
+    return tok.isidentifier() and tok not in _KEYWORDS
 
 
 class _Parser:
     def __init__(self, src: str):
+        self.src = src
         self.toks = _tokenize(src)
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Tok:
+    def peek(self) -> str:
         return self.toks[self.pos]
 
-    def next(self) -> _Tok:
+    def next(self) -> str:
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        return self.toks[self.pos].text == text
+        return self.toks[self.pos] == text
 
     def accept(self, text: str) -> bool:
         """Consume the next token if it spells `text`."""
-        if self.toks[self.pos].text != text:
+        if self.toks[self.pos] != text:
             return False
         self.pos += 1
         return True
@@ -112,9 +110,9 @@ class _Parser:
                       else f"expected {text!r}")
 
     def ident(self, what: str) -> str:
-        if self.peek().kind != "ident":
+        if not _is_name(self.peek()):
             self.fail(f"expected {what}")
-        return self.next().text
+        return self.next()
 
     def binder(self) -> str | None:
         """The variable of a `mu x.` opener, or None when not at `mu`."""
@@ -130,10 +128,12 @@ class _Parser:
         self.eat("(")
         return label
 
+    def error(self, msg: str, index: int) -> ParseError:
+        return ParseError(msg, *_position(self.src, index))
+
     def fail(self, msg: str):
-        t = self.peek()
-        got = t.text if t.kind != "eof" else "end of input"
-        raise ParseError(f"{msg}, got {got!r}", t.line, t.col)
+        got = self.peek() or "end of input"
+        raise self.error(f"{msg}, got {got!r}", self.pos)
 
     # -- expressions --------------------------------------------------------
 
@@ -150,7 +150,7 @@ class _Parser:
         return left
 
     def expr_unary(self) -> S.Expr:
-        op = _UNARY.get(self.peek().text)
+        op = _UNARY.get(self.peek())
         if op is None:
             return self.expr_atom()
         self.next()
@@ -158,16 +158,16 @@ class _Parser:
 
     def expr_atom(self) -> S.Expr:
         t = self.peek()
-        if t.kind == "num":
+        if t.lstrip("-").isdigit():
             self.next()
             try:
-                return S.Num(int(t.text))
+                return S.Num(int(t))
             except ValueError:  # more digits than sys.get_int_max_str_digits()
-                raise ParseError("number too long", t.line, t.col) from None
+                raise self.error("number too long", self.pos - 1) from None
         if self.accept("true") or self.accept("false"):
-            return S.BoolLit(t.text == "true")
-        if t.kind == "ident":
-            return S.Var(self.next().text)
+            return S.BoolLit(t == "true")
+        if _is_name(t):
+            return S.Var(self.next())
         if self.accept("("):
             e = self.expr()
             self.eat(")")
@@ -198,9 +198,9 @@ class _Parser:
             p = self.process()
             self.eat(")")
             return p
-        if self.peek().kind != "ident":
+        if not _is_name(self.peek()):
             self.fail("expected a process")
-        name = self.next().text
+        name = self.next()
         if self.accept("?"):
             label = self.label()
             var = self.ident("a variable")
@@ -227,10 +227,10 @@ class _Parser:
         entries: dict[str, S.Process] = {}
         while True:
             self.eat("@")
-            t = self.peek()
+            start = self.pos
             name = self.ident("a participant")
             if name in entries:
-                raise ParseError(f"participant {name!r} listed twice", t.line, t.col)
+                raise self.error(f"participant {name!r} listed twice", start)
             entries[name] = self.process()
             if not self.accept("||"):
                 return S.Session(tuple(entries.items()))
@@ -241,22 +241,22 @@ class _Parser:
         var = self.binder()
         if var is not None:
             return S.TRec(var, self.session_type())
-        start = self.peek()
+        start = self.pos
         members = [self.type_item()]
-        conn = self.peek().text
+        conn = self.peek()
         if conn not in _JUNCTIONS:
             return members[0]
         while self.accept(conn):
             members.append(self.type_item())
-        if self.peek().text in _JUNCTIONS:
+        if self.peek() in _JUNCTIONS:
             self.fail("cannot mix '&' and '\\/' without parentheses")
         want, kind, wrong_member = _JUNCTIONS[conn]
         if not all(isinstance(m, want) for m in members):
-            raise ParseError(wrong_member, start.line, start.col)
+            raise self.error(wrong_member, start)
         roles = {m.partner for m in members}
         if len(roles) != 1:
-            raise ParseError(f"{kind} members must share one partner, got {sorted(roles)}",
-                             start.line, start.col)
+            raise self.error(
+                f"{kind} members must share one partner, got {sorted(roles)}", start)
         return want(roles.pop(), tuple(b for m in members for b in m.branches))
 
     def type_item(self) -> S.SessionType:
@@ -266,10 +266,10 @@ class _Parser:
             t = self.session_type()
             self.eat(")")
             return t
-        if self.peek().kind != "ident":
+        if not _is_name(self.peek()):
             self.fail("expected a session type")
-        name = self.next().text
-        prefix = _PREFIXES.get(self.peek().text)
+        name = self.next()
+        prefix = _PREFIXES.get(self.peek())
         if prefix is None:
             return S.TVar(name)
         self.next()
@@ -283,7 +283,7 @@ class _Parser:
         return self.session_type() if self.at("mu") else self.type_item()
 
     def sort(self) -> S.Sort:
-        sort = _SORTS.get(self.peek().text)
+        sort = _SORTS.get(self.peek())
         if sort is None:
             self.fail("expected a sort (nat, int or bool)")
         self.next()
@@ -301,9 +301,9 @@ class _Parser:
             g = self.global_type()
             self.eat(")")
             return g
-        if self.peek().kind != "ident":
+        if not _is_name(self.peek()):
             self.fail("expected a global type")
-        sender = self.next().text
+        sender = self.next()
         if not self.accept("->"):
             return S.GVar(sender)
         receiver = self.ident("a participant")
@@ -343,7 +343,7 @@ def parse(src: str, category: str):
         raise ValueError(f"unknown category {category!r}") from None
     p = _Parser(src)
     term = rule(p)
-    if p.peek().kind != "eof":
+    if p.peek():
         p.fail("trailing input")
     return term
 
