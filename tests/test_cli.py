@@ -29,6 +29,18 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_fresh(*argv):
+    """`python -m mpst` in a fresh interpreter, at the default recursion
+    limit."""
+    src = str(pathlib.Path(mpst.__file__).parent.parent)
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "mpst", *argv],
+                          capture_output=True, encoding="utf-8", env=env,
+                          check=False)
+
+
 def invoke_json(*argv):
     code, out, err = invoke("--json", *argv)
     payload = json.loads(out)
@@ -498,17 +510,23 @@ class TestMalformedInput:
             assert err == "error: input nests too deeply\n"
 
     def test_deep_chain_is_a_subtype_of_itself(self, tmp_path):
-        # A fresh interpreter, at Python's default recursion limit.
         source = tmp_path / "chain.mpst"
         source.write_text("p!l(nat)." * 200 + "end")
-        src = str(pathlib.Path(mpst.__file__).parent.parent)
-        env = {**os.environ, "PYTHONIOENCODING": "utf-8",
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, "-m", "mpst", "subtype", str(source), str(source)],
-            capture_output=True, encoding="utf-8", env=env, check=False)
+        done = run_fresh("subtype", str(source), str(source))
         assert (done.returncode, done.stdout, done.stderr) == (0, "≤\n", "")
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython"
+                        or sys.version_info[:2] != (3, 11),
+                        reason="README states the limits for CPython 3.11")
+    @pytest.mark.parametrize("argv, limit", [
+        (("parse",), 328), (("char-global", "r"), 494)])
+    def test_nesting_limits_stated_in_the_readme(self, tmp_path, argv, limit):
+        source = tmp_path / "chain.mpst"
+        for n, code, err in ((limit, 0, ""),
+                             (limit + 1, 2, "error: input nests too deeply\n")):
+            source.write_text("p!l(nat)." * n + "end")
+            done = run_fresh(argv[0], str(source), *argv[1:])
+            assert (done.returncode, done.stderr) == (code, err), n
 
     @pytest.mark.parametrize("name, text, argv, message", [
         ("letter.mpst", "pé!l(nat).end", ("parse",),
@@ -678,6 +696,13 @@ def test_every_module_compiles_with_warnings_as_errors():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(), str(path), "exec")
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10.
+    package = pathlib.Path(mpst.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
 def test_every_imported_name_is_used():

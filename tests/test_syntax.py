@@ -8,6 +8,7 @@ import pickle
 import random
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -38,7 +39,9 @@ from mpst import (
     show,
     unfold,
 )
+from mpst import parser
 from mpst import syntax as S
+from mpst.cli import _EXTENSION_CATEGORY
 from mpst.syntax import (
     ext_choice,
     free_vars,
@@ -187,6 +190,26 @@ class TestParsing:
     def test_tokens_need_no_space_and_comments_take_any_character(
             self, category, src, term):
         assert parse(src, category) == term
+
+    def test_positions_are_computed_only_on_error(self):
+        texts = [(f.read_text(), _EXTENSION_CATEGORY[pathlib.Path(f.name).suffix])
+                 for f in resources.files("mpst").joinpath("fixtures").iterdir()]
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is parser._position.__code__:
+                calls.append(frame.f_code)
+
+        sys.setprofile(profile)
+        try:
+            for text, category in texts:
+                parse(text, category)
+            fixtures_calls = len(calls)
+            with pytest.raises(ParseError):
+                parse("p?l(nat).", "sessiontype")
+        finally:
+            sys.setprofile(None)
+        assert texts and (fixtures_calls, len(calls)) == (0, 1)
 
     def test_parse_outcomes_of_edited_texts_are_pinned(self):
         # Printed random terms with seeded edits; the digest covers every
