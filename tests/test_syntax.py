@@ -116,6 +116,15 @@ class TestParsing:
         assert a == b
         assert [br.label for br in a.branches] == ["l1", "l2"]
 
+    @pytest.mark.parametrize("src, cls", [
+        ("(p?a(nat).end & p?b(nat).end) & p?c(nat).end", TIn),
+        ("p!c(nat).end \\/ (p!a(nat).end \\/ p!b(nat).end)", TOut),
+    ])
+    def test_a_parenthesised_junction_joins_its_junction(self, src, cls):
+        t = parse_session_type(src)
+        assert t == cls("p", tuple(Branch(label, Sort.NAT, TEnd())
+                                   for label in "abc"))
+
     def test_missing_continuation_defaults_to_end(self):
         assert parse_session_type("p?l(nat)") == parse_session_type("p?l(nat).end")
 
@@ -161,6 +170,17 @@ class TestParsing:
          "1:1: intersection members must share one partner, got ['p', 'q']"),
         ("sessiontype", "  p!a(nat).end \\/ q!b(nat).end",
          "1:3: union members must share one partner, got ['p', 'q']"),
+        ("sessiontype", "(end) & p?a(nat).end",
+         "1:1: every member of an intersection must be an input prefix"),
+        ("sessiontype", "(p?a(nat).end & p?b(nat).end) & q?c(nat).end",
+         "1:1: intersection members must share one partner, got ['p', 'q']"),
+        ("sessiontype", "?l(nat).end", "1:1: expected a session type, got '?'"),
+        ("sessiontype", "p.l(nat).end", "1:2: trailing input, got '.'"),
+        ("sessiontype", "p?end(nat).end", "1:3: expected a label, got 'end'"),
+        ("sessiontype", "p?l nat).end", "1:5: expected '(', got 'nat'"),
+        ("sessiontype", "p?l().end",
+         "1:5: expected a sort (nat, int or bool), got ')'"),
+        ("sessiontype", "p?l(nat.end", "1:8: expected ')', got '.'"),
         ("session", "@p 0 ||\n@p 0", "2:2: participant 'p' listed twice"),
         ("expr", "succ " + "9" * 4400, "1:6: number too long"),
         ("expr", "x (+)\n  $", "2:3: unexpected character '$'"),
@@ -264,6 +284,25 @@ class TestConstructorInvariants:
         (lambda: TIn("1x", (Branch("l", Sort.NAT, TEnd()),)),
          "bad participant: '1x'"),
         (lambda: TOut("q", (Branch("1l", Sort.NAT, TEnd()),)), "bad label: '1l'"),
+        (lambda: TOut("q x", (Branch("l", Sort.NAT, TEnd()),)),
+         "bad participant: 'q x'"),
+        (lambda: S.Input("1p", "l", "x", S.Inact()), "bad participant: '1p'"),
+        (lambda: S.Input("p", "l-", "x", S.Inact()), "bad label: 'l-'"),
+        (lambda: S.Input("p", "l", "", S.Inact()), "bad variable: ''"),
+        (lambda: S.Output("é", "l", S.Num(1), S.Inact()), "bad participant: 'é'"),
+        (lambda: S.Output("p", "1l", S.Num(1), S.Inact()), "bad label: '1l'"),
+        (lambda: S.GComm("1p", "q", (Branch("l", Sort.NAT, S.GEnd()),)),
+         "bad participant: '1p'"),
+        (lambda: S.GComm("p", "1q", (Branch("l", Sort.NAT, S.GEnd()),)),
+         "bad participant: '1q'"),
+        (lambda: S.Var("x y"), "bad variable: 'x y'"),
+        (lambda: S.ProcVar("1X"), "bad process variable: '1X'"),
+        (lambda: TVar("1t"), "bad type variable: '1t'"),
+        (lambda: S.GVar("1t"), "bad type variable: '1t'"),
+        (lambda: S.Rec("1X", S.Inact()), "bad process variable: '1X'"),
+        (lambda: TRec("1t", TEnd()), "bad type variable: '1t'"),
+        (lambda: S.GRec("1t", S.GEnd()), "bad type variable: '1t'"),
+        (lambda: Session((("1p", S.Inact()),)), "bad participant: '1p'"),
         (lambda: S.ExtChoice((S.Inact(),)),
          "external choice needs at least two branches"),
         (lambda: S.ExtChoice((parse_process("q?a(x).0"),
