@@ -19,6 +19,9 @@ verdict, witness, timings; everything except timings is stable across runs.
 A command that fails also writes one, with verdict "error" and witness
 {"message": ...}, next to the `error:` line on stderr.
 
+When the reader of standard output leaves early (`mpst ... | head`), the
+rest of the output is dropped, with no traceback and the command's code.
+
 Paths beginning with `fixtures/` resolve inside the packaged fixture corpus,
 or inside the directory named by the MPST_FIXTURES environment variable when
 it is set; an absolute rest or a `..` component names no fixture.
@@ -282,8 +285,13 @@ def _emit(args, started: float, verdict, witness, lines: list[str]) -> None:
         doc = {"command": args.command, "verdict": verdict, "witness": witness,
                "timings": {"seconds": round(time.monotonic() - started, 6)}}
         lines = [json.dumps(doc, indent=2)]
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left: the rest, and the flush at exit, go to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -22,6 +22,8 @@ One regular expression splits the source into token texts, and a text alone
 says what it is: a keyword or symbol spells itself, a name is any other
 identifier, a number is digits after an optional '-', and the end of input
 is ''.  A token's line and column are computed only for a ParseError.
+Each session-type node is built once: a junction of n prefixes is one
+constructor call, and `end` and `0` are one shared node each.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ _CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
 _SORTS = {"nat": S.Sort.NAT, "int": S.Sort.INT, "bool": S.Sort.BOOL}
 _UNARY = {"succ": S.Succ, "neg": S.Neg, "not": S.Not}
 _PREFIXES = {"?": S.TIn, "!": S.TOut}
+_TEND, _GEND, _INACT = S.TEnd(), S.GEnd(), S.Inact()
 # connective -> (member class, junction name, message for a wrong member)
 _JUNCTIONS = {
     "&": (S.TIn, "intersection",
@@ -61,10 +64,10 @@ _JUNCTIONS = {
 def _tokenize(src: str) -> list[str]:
     """The token texts of `src`, ending in one or two empty texts."""
     toks = _TOKEN.findall(src)
-    bad = [t for t in toks if len(t) == 1 and t not in _CHARS]
+    bad = [toks.index(t) for t in set(toks).difference(_CHARS) if len(t) == 1]
     if bad:
-        raise ParseError(f"unexpected character {bad[0]!r}",
-                         *_position(src, toks.index(bad[0])))
+        raise ParseError(f"unexpected character {toks[min(bad)]!r}",
+                         *_position(src, min(bad)))
     return toks
 
 
@@ -94,9 +97,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def at(self, text: str) -> bool:
-        return self.toks[self.pos] == text
-
     def accept(self, text: str) -> bool:
         """Consume the next token if it spells `text`."""
         if self.toks[self.pos] != text:
@@ -114,10 +114,9 @@ class _Parser:
             self.fail(f"expected {what}")
         return self.next()
 
-    def binder(self) -> str | None:
-        """The variable of a `mu x.` opener, or None when not at `mu`."""
-        if not self.accept("mu"):
-            return None
+    def binder(self) -> str:
+        """The variable of a `mu x.` opener, at `mu`."""
+        self.pos += 1
         var = self.ident("a recursion variable")
         self.eat(".")
         return var
@@ -183,9 +182,8 @@ class _Parser:
             then = self.process()
             self.eat("else")
             return S.Cond(guard, then, self.process())
-        var = self.binder()
-        if var is not None:
-            return S.Rec(var, self.process())
+        if self.peek() == "mu":
+            return S.Rec(self.binder(), self.process())
         items = [self.proc_item()]
         while self.accept("+"):
             items.append(self.proc_item())
@@ -193,7 +191,7 @@ class _Parser:
 
     def proc_item(self) -> S.Process:
         if self.accept("0"):
-            return S.Inact()
+            return _INACT
         if self.accept("("):
             p = self.process()
             self.eat(")")
@@ -217,7 +215,7 @@ class _Parser:
 
     def proc_cont(self) -> S.Process:
         # A continuation is one item, or an if/mu that extends maximally.
-        if self.at("if") or self.at("mu"):
+        if self.peek() in ("if", "mu"):
             return self.process()
         return self.proc_item()
 
@@ -238,49 +236,69 @@ class _Parser:
     # -- session types --------------------------------------------------------
 
     def session_type(self) -> S.SessionType:
-        var = self.binder()
-        if var is not None:
-            return S.TRec(var, self.session_type())
+        if self.toks[self.pos] == "mu":
+            return S.TRec(self.binder(), self.session_type())
         start = self.pos
-        members = [self.type_item()]
-        conn = self.peek()
+        item = self.type_item()
+        conn = self.toks[self.pos]
         if conn not in _JUNCTIONS:
-            return members[0]
+            return item[0](item[1], item[2]) if type(item) is tuple else item
+        members = [item]
         while self.accept(conn):
             members.append(self.type_item())
         if self.peek() in _JUNCTIONS:
             self.fail("cannot mix '&' and '\\/' without parentheses")
         want, kind, wrong_member = _JUNCTIONS[conn]
-        if not all(isinstance(m, want) for m in members):
-            raise self.error(wrong_member, start)
-        roles = {m.partner for m in members}
+        roles, branches = set(), []
+        for m in members:
+            if type(m) is not tuple:  # a parenthesised type joins by its branches
+                m = (type(m), getattr(m, "partner", None), getattr(m, "branches", ()))
+            if m[0] is not want:
+                raise self.error(wrong_member, start)
+            roles.add(m[1])
+            branches += m[2]
         if len(roles) != 1:
             raise self.error(
                 f"{kind} members must share one partner, got {sorted(roles)}", start)
-        return want(roles.pop(), tuple(b for m in members for b in m.branches))
+        return want(roles.pop(), tuple(branches))
 
-    def type_item(self) -> S.SessionType:
-        if self.accept("end"):
-            return S.TEnd()
-        if self.accept("("):
+    def type_item(self) -> S.SessionType | tuple:
+        """One item of a session type.  A prefix is read by index as one
+        header, `name ?|! label ( sort )`, and comes back unbuilt, as
+        (class, partner, (branch,)), for a junction to build with the rest."""
+        toks, i = self.toks, self.pos
+        name = toks[i]
+        if name == "end":
+            self.pos = i + 1
+            return _TEND
+        if name == "(":
+            self.pos = i + 1
             t = self.session_type()
             self.eat(")")
             return t
-        if not _is_name(self.peek()):
+        if not name.isidentifier() or name in _KEYWORDS:
             self.fail("expected a session type")
-        name = self.next()
-        prefix = _PREFIXES.get(self.peek())
+        prefix = _PREFIXES.get(toks[i + 1])
         if prefix is None:
+            self.pos = i + 1
             return S.TVar(name)
-        self.next()
-        label = self.label()
-        sort = self.sort()
-        self.eat(")")
-        cont = self.type_cont() if self.accept(".") else S.TEnd()
-        return prefix(name, (S.Branch(label, sort, cont),))
-
-    def type_cont(self) -> S.SessionType:
-        return self.session_type() if self.at("mu") else self.type_item()
+        label = toks[i + 2]
+        if not (label.isidentifier() and label not in _KEYWORDS
+                and toks[i + 3] == "(" and (sort := _SORTS.get(toks[i + 4]))
+                and toks[i + 5] == ")"):
+            self.pos = i + 2  # the checks again, in order, to report the first
+            self.label()
+            self.sort()
+            self.eat(")")
+        if toks[i + 6] != ".":
+            self.pos = i + 6
+            return prefix, name, (S.Branch(label, sort, _TEND),)
+        self.pos = i + 7
+        if toks[i + 7] == "mu":
+            cont = self.session_type()
+        elif type(cont := self.type_item()) is tuple:
+            cont = cont[0](cont[1], cont[2])
+        return prefix, name, (S.Branch(label, sort, cont),)
 
     def sort(self) -> S.Sort:
         sort = _SORTS.get(self.peek())
@@ -292,11 +310,10 @@ class _Parser:
     # -- global types ---------------------------------------------------------
 
     def global_type(self) -> S.GlobalType:
-        var = self.binder()
-        if var is not None:
-            return S.GRec(var, self.global_type())
+        if self.peek() == "mu":
+            return S.GRec(self.binder(), self.global_type())
         if self.accept("end"):
-            return S.GEnd()
+            return _GEND
         if self.accept("("):
             g = self.global_type()
             self.eat(")")
@@ -320,7 +337,7 @@ class _Parser:
         label = self.label()
         sort = self.sort()
         self.eat(")")
-        cont = self.global_type() if self.accept(".") else S.GEnd()
+        cont = self.global_type() if self.accept(".") else _GEND
         return S.Branch(label, sort, cont)
 
 

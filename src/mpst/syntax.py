@@ -34,16 +34,11 @@ from typing import Iterable, Union
 from .errors import DuplicateLabel, SelfCommunication, UnguardedRecursion
 
 
-def _require_ident(name: str, what: str) -> None:
-    # An ASCII Python identifier: [A-Za-z_][A-Za-z0-9_]*.
-    if not (name.isascii() and name.isidentifier()):
-        raise ValueError(f"bad {what}: {name!r}")
-
-
 class Sort(enum.Enum):
     NAT = "nat"
     INT = "int"
     BOOL = "bool"
+    __hash__ = object.__hash__  # members are singletons: no Python-level call
 
     def __str__(self) -> str:
         return self.value
@@ -61,12 +56,16 @@ def _getter(names: tuple[str, ...]):
 
 _METHODS = """
 def __init__(self, {params}):
+{checks}
 {sets}
 def __eq__(self, other):
     if other.__class__ is not self.__class__:
         return NotImplemented
     return ({mine}) == ({theirs})
 """
+# An identifier is an ASCII Python identifier: [A-Za-z_][A-Za-z0-9_]*.
+_CHECK = """    if not ({f}.isascii() and {f}.isidentifier()):
+        raise ValueError("bad {what}: " + repr({f}))"""
 
 
 def _cached_hash(key):
@@ -90,10 +89,11 @@ def frozen(cls):
     where it has them, and its bases name the slots of facts cached on an
     instance in `__slots__`.  The class is created again with slots for
     its fields and no instance dict, as a plain class, so `isinstance`
-    stays fast.  It gets an `__init__` that sets the fields, clears every
-    cached fact and runs `__post_init__`, an `__eq__` over the tuple of its
-    fields, both compiled from source so that they run as fast as if
-    written out, and a `__hash__` of that tuple, cached in `_hash`."""
+    stays fast.  It gets an `__init__` that checks the fields named in
+    `_idents` are identifiers, sets the fields, clears every cached fact
+    and runs `__post_init__`, an `__eq__` over the tuple of its fields,
+    both compiled from source so that they run as fast as if written out,
+    and a `__hash__` of that tuple, cached in `_hash`."""
     ns = dict(vars(cls))
     own = tuple(ns.get("__annotations__", ()))
     defaults = {f: ns.pop(f) for f in own if f in ns}
@@ -114,9 +114,12 @@ def frozen(cls):
     if hasattr(cls, "__post_init__"):
         env["post"] = cls.__post_init__
         sets.append("    post(self)")
+    checks = [_CHECK.format(f=f, what=what)
+              for f, what in getattr(cls, "_idents", {}).items()]
     exec(_METHODS.format(
         params=", ".join(f + f"=default_{f}" * (f in defaults) for f in fields),
-        sets="\n".join(sets), mine="".join(f"self.{f}, " for f in fields),
+        checks="\n".join(checks), sets="\n".join(sets),
+        mine="".join(f"self.{f}, " for f in fields),
         theirs="".join(f"other.{f}, " for f in fields)), env)
     cls.__init__, cls.__eq__ = env["__init__"], env["__eq__"]
     cls.__hash__ = _cached_hash(_getter(fields))
@@ -169,7 +172,9 @@ class _Term(Record):
       _kids   the fields holding subterms; they come last in field order;
       _many   true when the one kid field holds a tuple of subterms;
       _names  the fields holding participant names;
-      _binds  for a binder, the variable class its `var` field names.
+      _binds  for a binder, the variable class its `var` field names;
+      _idents the fields the constructor checks are identifiers, each
+              with what it names in the message.
 
     From these the class gets `_children`, `_fixed` (the other fields) and
     `_roles`, which everything below goes through.  Facts derived from a
@@ -209,8 +214,6 @@ class _Shown(_Term):
     def __str__(self) -> str:
         text = self._text
         if text is None:
-            from . import printer
-
             text = printer.show(self)
             object.__setattr__(self, "_text", text)
         return text
@@ -222,10 +225,7 @@ class _Variable(_Shown):
     equal names in different categories are different variables."""
 
     name: str
-    _what = "variable"
-
-    def __post_init__(self) -> None:
-        _require_ident(self.name, self._what)
+    _idents = {"name": "variable"}
 
 
 # --------------------------------------------------------------------------
@@ -300,7 +300,6 @@ class _Mu(_Shown):
     _kids = ("body",)
 
     def __post_init__(self) -> None:
-        self._binds(self.var)  # validates the name
         # mu t.t (also via nested binders, mu t.mu s.t) is not a term.
         binders = {self.var}
         node = self.body
@@ -325,11 +324,7 @@ class Input(_Shown):
     _kids = ("body",)
     _names = ("partner",)
     _binds = Var
-
-    def __post_init__(self) -> None:
-        _require_ident(self.partner, "participant")
-        _require_ident(self.label, "label")
-        _require_ident(self.var, "variable")
+    _idents = {"partner": "participant", "label": "label", "var": "variable"}
 
 
 @frozen
@@ -340,10 +335,7 @@ class Output(_Shown):
     body: "Process"
     _kids = ("payload", "body")
     _names = ("partner",)
-
-    def __post_init__(self) -> None:
-        _require_ident(self.partner, "participant")
-        _require_ident(self.label, "label")
+    _idents = {"partner": "participant", "label": "label"}
 
 
 @frozen
@@ -371,7 +363,7 @@ class Cond(_Shown):
 
 @frozen
 class ProcVar(_Variable):
-    _what = "process variable"
+    _idents = {"name": "process variable"}
 
 
 @frozen
@@ -379,6 +371,7 @@ class Rec(_Mu):
     var: str
     body: "Process"
     _binds = ProcVar
+    _idents = {"var": "process variable"}
 
 
 @frozen
@@ -425,7 +418,8 @@ class Session(_Shown):
             raise ValueError(f"duplicate participant in session: {names}")
         object.__setattr__(self, "parts", tuple(sorted(self.parts)))
         for p, proc in self.parts:
-            _require_ident(p, "participant")
+            if not (p.isascii() and p.isidentifier()):
+                raise ValueError(f"bad participant: {p!r}")
             if p in participants_of(proc):
                 raise SelfCommunication(f"participant {p} communicates with itself")
 
@@ -457,19 +451,15 @@ class Branch(_Term):
     sort: Sort
     cont: "SessionType | GlobalType"
     _kids = ("cont",)
-
-    def __post_init__(self) -> None:
-        _require_ident(self.label, "label")
+    _idents = {"label": "label"}
 
 
 _label = attrgetter("label")
 
 
 def _sorted_branches(branches: tuple, what: str) -> tuple:
-    if len(branches) < 2:
-        if not branches:
-            raise ValueError(f"{what} needs at least one branch")
-        return tuple(branches)
+    if not branches:
+        raise ValueError(f"{what} needs at least one branch")
     labels = tuple(map(_label, branches))
     if all(map(lt, labels, labels[1:])):  # sorted and distinct already
         return tuple(branches)
@@ -488,10 +478,12 @@ class _Prefixes(_Shown):
     _kids = ("branches",)
     _many = True
     _names = ("partner",)
+    _idents = {"partner": "participant"}
 
     def __post_init__(self) -> None:
-        _require_ident(self.partner, "participant")
-        object.__setattr__(self, "branches", _sorted_branches(self.branches, self._junction))
+        if len(self.branches) != 1 or type(self.branches) is not tuple:
+            object.__setattr__(self, "branches",
+                               _sorted_branches(self.branches, self._junction))
 
 
 @frozen
@@ -510,7 +502,7 @@ class TOut(_Prefixes):
 
 @frozen
 class TVar(_Variable):
-    _what = "type variable"
+    _idents = {"name": "type variable"}
 
 
 @frozen
@@ -518,6 +510,7 @@ class TRec(_Mu):
     var: str
     body: "SessionType"
     _binds = TVar
+    _idents = {"var": "type variable"}
 
 
 @frozen
@@ -541,10 +534,9 @@ class GComm(_Shown):
     _kids = ("branches",)
     _many = True
     _names = ("sender", "receiver")
+    _idents = {"sender": "participant", "receiver": "participant"}
 
     def __post_init__(self) -> None:
-        _require_ident(self.sender, "participant")
-        _require_ident(self.receiver, "participant")
         if self.sender == self.receiver:
             raise SelfCommunication(f"{self.sender} -> {self.receiver}")
         object.__setattr__(self, "branches", _sorted_branches(self.branches, "communication"))
@@ -552,7 +544,7 @@ class GComm(_Shown):
 
 @frozen
 class GVar(_Variable):
-    _what = "type variable"
+    _idents = {"name": "type variable"}
 
 
 @frozen
@@ -560,6 +552,7 @@ class GRec(_Mu):
     var: str
     body: "GlobalType"
     _binds = GVar
+    _idents = {"var": "type variable"}
 
 
 @frozen
@@ -707,3 +700,6 @@ def regular_tree_equal(a, b) -> bool:
         return True
 
     return go(a, b)
+
+
+from . import printer  # noqa: E402  (printer reads the classes above)

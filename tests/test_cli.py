@@ -462,6 +462,22 @@ class TestUsage:
         assert code == 2
         assert "usage: mpst" in err
 
+    def test_a_reader_that_stops_early_sees_no_traceback(self, tmp_path):
+        # 12 nested prefixes give 143 KB of process, more than a pipe holds.
+        source = tmp_path / "chain.mpst"
+        source.write_text("p?l(nat)." * 12 + "end")
+        src = str(pathlib.Path(mpst.__file__).parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mpst", "char-proc", str(source)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert (head, err) == (b"p?l(x).(if succ x > ", b"")
+
 
 class TestMalformedInput:
     def parse_file(self, tmp_path, name, text):
@@ -519,7 +535,7 @@ class TestMalformedInput:
                         or sys.version_info[:2] != (3, 11),
                         reason="README states the limits for CPython 3.11")
     @pytest.mark.parametrize("argv, limit", [
-        (("parse",), 328), (("char-global", "r"), 494)])
+        (("parse",), 989), (("char-global", "r"), 494)])
     def test_nesting_limits_stated_in_the_readme(self, tmp_path, argv, limit):
         source = tmp_path / "chain.mpst"
         for n, code, err in ((limit, 0, ""),

@@ -125,6 +125,18 @@ class TestParsing:
         assert t == cls("p", tuple(Branch(label, Sort.NAT, TEnd())
                                    for label in "abc"))
 
+    def test_a_junction_is_built_once(self, monkeypatch):
+        built = []
+        init = TIn.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(TIn, "__init__", counted)
+        t = parse_session_type("p?a(nat).end & p?b(nat).end & p?c(nat).end")
+        assert (len(t.branches), len(built)) == (3, 1)
+
     def test_missing_continuation_defaults_to_end(self):
         assert parse_session_type("p?l(nat)") == parse_session_type("p?l(nat).end")
 
