@@ -302,19 +302,19 @@ class TestConstructorInvariants:
         (lambda: S.Input("p", "l-", "x", S.Inact()), "bad label: 'l-'"),
         (lambda: S.Input("p", "l", "", S.Inact()), "bad variable: ''"),
         (lambda: S.Output("é", "l", S.Num(1), S.Inact()), "bad participant: 'é'"),
-        (lambda: S.Output("p", "1l", S.Num(1), S.Inact()), "bad label: '1l'"),
-        (lambda: S.GComm("1p", "q", (Branch("l", Sort.NAT, S.GEnd()),)),
-         "bad participant: '1p'"),
+        (lambda: S.Output("p", "2l", S.Num(1), S.Inact()), "bad label: '2l'"),
+        (lambda: S.GComm("1s", "q", (Branch("l", Sort.NAT, S.GEnd()),)),
+         "bad participant: '1s'"),
         (lambda: S.GComm("p", "1q", (Branch("l", Sort.NAT, S.GEnd()),)),
          "bad participant: '1q'"),
         (lambda: S.Var("x y"), "bad variable: 'x y'"),
         (lambda: S.ProcVar("1X"), "bad process variable: '1X'"),
         (lambda: TVar("1t"), "bad type variable: '1t'"),
-        (lambda: S.GVar("1t"), "bad type variable: '1t'"),
-        (lambda: S.Rec("1X", S.Inact()), "bad process variable: '1X'"),
-        (lambda: TRec("1t", TEnd()), "bad type variable: '1t'"),
-        (lambda: S.GRec("1t", S.GEnd()), "bad type variable: '1t'"),
-        (lambda: Session((("1p", S.Inact()),)), "bad participant: '1p'"),
+        (lambda: S.GVar("1g"), "bad type variable: '1g'"),
+        (lambda: S.Rec("1Y", S.Inact()), "bad process variable: '1Y'"),
+        (lambda: TRec("1u", TEnd()), "bad type variable: '1u'"),
+        (lambda: S.GRec("1h", S.GEnd()), "bad type variable: '1h'"),
+        (lambda: Session((("1r", S.Inact()),)), "bad participant: '1r'"),
         (lambda: S.ExtChoice((S.Inact(),)),
          "external choice needs at least two branches"),
         (lambda: S.ExtChoice((parse_process("q?a(x).0"),
