@@ -28,6 +28,7 @@ from mpst import (
     TRec,
     TVar,
     UnguardedRecursion,
+    char_proc,
     parse,
     parse_expr,
     parse_global_type,
@@ -205,6 +206,44 @@ class TestParsing:
         ("sessiontype", "p?l(nat).\r\n\tq!m(int).end end",
          "2:15: trailing input, got 'end'"),
         ("sessiontype", "p?l(nat).end\x0c", "1:13: unexpected character '\\x0c'"),
+        ("process", "?l(x).0", "1:1: expected a process, got '?'"),
+        ("process", "q l(x).0", "1:3: trailing input, got 'l'"),
+        ("process", "q?(x).0", "1:3: expected a label, got '('"),
+        ("process", "q?end(x).0", "1:3: expected a label, got 'end'"),
+        ("process", "q?l x).0", "1:5: expected '(', got 'x'"),
+        ("process", "q?l(if).0", "1:5: expected a variable, got 'if'"),
+        ("process", "q?l(x.0", "1:6: expected ')', got '.'"),
+        ("process", "q?l(x)0", "1:7: expected '.', got '0'"),
+        ("process", "q?l(x) # note\n  0", "2:3: expected '.', got '0'"),
+        ("process", "q?l(x).", "1:8: expected a process, got 'end of input'"),
+        ("process", "!l(1).0", "1:1: expected a process, got '!'"),
+        ("process", "q!(1).0", "1:3: expected a label, got '('"),
+        ("process", "q!if(1).0", "1:3: expected a label, got 'if'"),
+        ("process", "q!l 1).0", "1:5: expected '(', got '1'"),
+        ("process", "q!l(1.0", "1:6: expected ')', got '.'"),
+        ("process", "q!l(1)0", "1:7: expected '.', got '0'"),
+        ("process", "q!l(1).", "1:8: expected a process, got 'end of input'"),
+        ("process", "if true 0 else 0", "1:9: expected keyword 'then', got '0'"),
+        ("process", "if true then 0",
+         "1:15: expected keyword 'else', got 'end of input'"),
+        ("process", "q?l(x).if x then 0 0", "1:20: expected keyword 'else', got '0'"),
+        ("process", "q?l(x).mu X", "1:12: expected '.', got 'end of input'"),
+        ("process", "0 +", "1:4: expected a process, got 'end of input'"),
+        ("process", "q?l(x).0 + + 0", "1:12: expected a process, got '+'"),
+        ("process", "mu X.q!l(1).X X", "1:15: trailing input, got 'X'"),
+        ("process", "q!l(1).(0", "1:10: expected ')', got 'end of input'"),
+        ("process", "()", "1:2: expected a process, got ')'"),
+        ("expr", "()", "1:2: expected an expression, got ')'"),
+        ("expr", "(1", "1:3: expected ')', got 'end of input'"),
+        ("expr", "succ", "1:5: expected an expression, got 'end of input'"),
+        ("expr", "(+) 1", "1:1: expected an expression, got '(+)'"),
+        ("expr", "1 (+)", "1:6: expected an expression, got 'end of input'"),
+        ("expr", "1 (+) (+)", "1:7: expected an expression, got '(+)'"),
+        ("expr", "a > b > c", "1:7: trailing input, got '>'"),
+        ("process", "q!l(a > b > c).0", "1:11: expected ')', got '>'"),
+        ("expr", "true false", "1:6: trailing input, got 'false'"),
+        ("session", "p 0", "1:1: expected '@', got 'p'"),
+        ("session", "@p q!l(1).0 || q", "1:16: expected '@', got 'q'"),
     ])
     def test_every_parse_error_message(self, category, src, message):
         with pytest.raises(ParseError) as exc:
@@ -264,6 +303,35 @@ class TestConstructorInvariants:
             parse_global_type("p -> p : l(nat).end")
         with pytest.raises(SelfCommunication):
             parse_session("@p p!l(1).0")
+
+    def test_self_communication_deep_in_a_shared_graph_is_found(self):
+        # char_proc shares each input's continuation between the two arms of
+        # its probe: 40 inputs make 2**40 paths to the output to p.
+        proc = char_proc(parse_session_type("q?l(nat)." * 40 + "p!m(nat).end"))
+        with pytest.raises(SelfCommunication) as exc:
+            Session((("q", S.Inact()), ("p", proc)))
+        assert str(exc.value) == "participant p communicates with itself"
+
+    def test_session_checks_run_in_order(self):
+        selfish = parse_process("a!l(1).0")
+        for parts, error, message in [
+            ((), ValueError, "a session needs at least one participant"),
+            ((("a", selfish), ("a", S.Inact())), ValueError,
+             "duplicate participant in session: ['a', 'a']"),
+            ((("b", selfish), ("1b", S.Inact())), ValueError,
+             "bad participant: '1b'"),
+            ((("a", selfish), ("é", S.Inact())), SelfCommunication,
+             "participant a communicates with itself"),
+            ((("b", selfish), ("a", selfish)), SelfCommunication,
+             "participant a communicates with itself"),
+            ((("b", parse_process("b!l(1).0")), ("a", selfish)),
+             SelfCommunication, "participant a communicates with itself"),
+            ((("c", S.Inact()), ("a", selfish)), SelfCommunication,
+             "participant a communicates with itself"),
+        ]:
+            with pytest.raises(error) as exc:
+                Session(parts)
+            assert str(exc.value) == message
 
     def test_unguarded_recursion_rejected(self):
         with pytest.raises(UnguardedRecursion):
