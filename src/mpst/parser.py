@@ -38,12 +38,11 @@ _KEYWORDS = {
     "true", "false", "succ", "neg", "not",
 }
 
-# Whitespace and comments, then a token, the end, or any other character (an
-# error).  After the longest skip some alternative matches: no backtracking.
+# A token, a comment, or any other character that is not white space (an
+# error).  `findall` steps over the white space that no alternative matches.
 _TOKEN = re.compile(r"""
-    (?:[ \t\r\n]+|\#[^\n]*)*
-    ( [A-Za-z_][A-Za-z0-9_]* | -?[0-9]+
-    | \(\+\) | -> | \|\| | \\/ | [?!.&+>{}(),:@] | \Z | . )
+      [A-Za-z_][A-Za-z0-9_]* | -?[0-9]+
+    | \(\+\) | -> | \|\| | \\/ | [?!.&+>{}(),:@] | \#[^\n]* | [^ \t\r\n]
 """, re.VERBOSE)
 # Every one-character text a token may have.
 _CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
@@ -53,6 +52,7 @@ _SORTS = {"nat": S.Sort.NAT, "int": S.Sort.INT, "bool": S.Sort.BOOL}
 _UNARY = {"succ": S.Succ, "neg": S.Neg, "not": S.Not}
 _PREFIXES = {"?": S.TIn, "!": S.TOut}
 _TEND, _GEND, _INACT = S.TEnd(), S.GEnd(), S.Inact()
+_ATOMS = {"true": S.BoolLit(True), "false": S.BoolLit(False)}
 # connective -> (member class, junction name, message for a wrong member)
 _JUNCTIONS = {
     "&": (S.TIn, "intersection",
@@ -62,8 +62,11 @@ _JUNCTIONS = {
 
 
 def _tokenize(src: str) -> list[str]:
-    """The token texts of `src`, ending in one or two empty texts."""
+    """The token texts of `src`, without comments, ending in one empty text."""
     toks = _TOKEN.findall(src)
+    if "#" in src:
+        toks = [t for t in toks if t[0] != "#"]
+    toks.append("")
     bad = [toks.index(t) for t in set(toks).difference(_CHARS) if len(t) == 1]
     if bad:
         raise ParseError(f"unexpected character {toks[min(bad)]!r}",
@@ -73,7 +76,8 @@ def _tokenize(src: str) -> list[str]:
 
 def _position(src: str, index: int) -> tuple[int, int]:
     """The line and column of token `index` of `src`; called only on error."""
-    start = list(_TOKEN.finditer(src))[index].start(1)
+    starts = [m.start() for m in _TOKEN.finditer(src) if m[0][0] != "#"]
+    start = (starts + [len(src)])[index]
     return src.count("\n", 0, start) + 1, start - src.rfind("\n", 0, start)
 
 
@@ -138,100 +142,135 @@ class _Parser:
 
     def expr(self) -> S.Expr:
         left = self.expr_choice()
-        if self.accept(">"):
-            return S.Gt(left, self.expr_choice())
-        return left
+        if self.toks[self.pos] != ">":
+            return left
+        self.pos += 1
+        return S.Gt(left, self.expr_choice())
 
     def expr_choice(self) -> S.Expr:
         left = self.expr_unary()
-        while self.accept("(+)"):
+        while self.toks[self.pos] == "(+)":
+            self.pos += 1
             left = S.Choice(left, self.expr_unary())
         return left
 
     def expr_unary(self) -> S.Expr:
-        op = _UNARY.get(self.peek())
-        if op is None:
-            return self.expr_atom()
-        self.next()
-        return op(self.expr_unary())
-
-    def expr_atom(self) -> S.Expr:
-        t = self.peek()
+        """A prefix operator applied to an expression, or an atom, read by
+        index."""
+        i = self.pos
+        t = self.toks[i]
+        self.pos = i + 1
+        if t in _ATOMS:
+            return _ATOMS[t]
+        if t in _UNARY:
+            return _UNARY[t](self.expr_unary())
+        if t.isidentifier() and t not in _KEYWORDS:
+            return S.Var(t)
         if t.lstrip("-").isdigit():
-            self.next()
             try:
                 return S.Num(int(t))
             except ValueError:  # more digits than sys.get_int_max_str_digits()
-                raise self.error("number too long", self.pos - 1) from None
-        if self.accept("true") or self.accept("false"):
-            return S.BoolLit(t == "true")
-        if _is_name(t):
-            return S.Var(self.next())
-        if self.accept("("):
+                raise self.error("number too long", i) from None
+        if t == "(":
             e = self.expr()
             self.eat(")")
             return e
+        self.pos = i
         self.fail("expected an expression")
 
     # -- processes ----------------------------------------------------------
 
     def process(self) -> S.Process:
-        if self.accept("if"):
+        t = self.toks[self.pos]
+        if t == "if":
+            self.pos += 1
             guard = self.expr()
             self.eat("then")
             then = self.process()
             self.eat("else")
             return S.Cond(guard, then, self.process())
-        if self.peek() == "mu":
+        if t == "mu":
             return S.Rec(self.binder(), self.process())
-        items = [self.proc_item()]
+        item = self.proc_item()
+        if self.toks[self.pos] != "+":
+            return item
+        items = [item]
         while self.accept("+"):
             items.append(self.proc_item())
         return S.ext_choice(items)
 
     def proc_item(self) -> S.Process:
-        if self.accept("0"):
+        """One summand of a process.  A prefix is read by index, the input
+        header `name ? label ( var ) .` and the output header `name ! label (`
+        each at once; the continuation is one item, or an if/mu that extends
+        maximally."""
+        toks, i = self.toks, self.pos
+        name = toks[i]
+        if name == "0":
+            self.pos = i + 1
             return _INACT
-        if self.accept("("):
+        if name == "(":
+            self.pos = i + 1
             p = self.process()
             self.eat(")")
             return p
-        if not _is_name(self.peek()):
+        if not name.isidentifier() or name in _KEYWORDS:
             self.fail("expected a process")
-        name = self.next()
-        if self.accept("?"):
-            label = self.label()
-            var = self.ident("a variable")
-            self.eat(")")
-            self.eat(".")
-            return S.Input(name, label, var, self.proc_cont())
-        if self.accept("!"):
-            label = self.label()
+        op = toks[i + 1]
+        if op == "?":
+            label = toks[i + 2]
+            if not (label.isidentifier() and label not in _KEYWORDS
+                    and toks[i + 3] == "(" and (var := toks[i + 4]).isidentifier()
+                    and var not in _KEYWORDS and toks[i + 5] == ")"
+                    and toks[i + 6] == "."):
+                self.pos = i + 2  # the checks again, in order, to report the first
+                self.label()
+                self.ident("a variable")
+                self.eat(")")
+                self.eat(".")
+            self.pos = i = i + 7
+        elif op == "!":
+            label = toks[i + 2]
+            if not (label.isidentifier() and label not in _KEYWORDS
+                    and toks[i + 3] == "("):
+                self.pos = i + 2
+                self.label()
+            self.pos = i + 4
             payload = self.expr()
-            self.eat(")")
-            self.eat(".")
-            return S.Output(name, label, payload, self.proc_cont())
-        return S.ProcVar(name)
-
-    def proc_cont(self) -> S.Process:
-        # A continuation is one item, or an if/mu that extends maximally.
-        if self.peek() in ("if", "mu"):
-            return self.process()
-        return self.proc_item()
+            i = self.pos
+            if toks[i] != ")" or toks[i + 1] != ".":
+                self.eat(")")
+                self.eat(".")
+            self.pos = i = i + 2
+        else:
+            self.pos = i + 1
+            return S.ProcVar(name)
+        if toks[i] == "if" or toks[i] == "mu":
+            cont = self.process()
+        else:
+            cont = self.proc_item()
+        if op == "?":
+            return S.Input(name, label, var, cont)
+        return S.Output(name, label, payload, cont)
 
     # -- sessions -----------------------------------------------------------
 
     def session(self) -> S.Session:
+        toks = self.toks
         entries: dict[str, S.Process] = {}
         while True:
-            self.eat("@")
-            start = self.pos
-            name = self.ident("a participant")
+            i = self.pos
+            name = toks[i + 1] if toks[i] == "@" else ""
+            if not name.isidentifier() or name in _KEYWORDS:
+                self.eat("@")
+                self.ident("a participant")
             if name in entries:
-                raise self.error(f"participant {name!r} listed twice", start)
+                raise self.error(f"participant {name!r} listed twice", i + 1)
+            self.pos = i + 2
             entries[name] = self.process()
-            if not self.accept("||"):
+            if toks[self.pos] != "||":
                 return S.Session(tuple(entries.items()))
+            self.pos += 1
 
     # -- session types --------------------------------------------------------
 

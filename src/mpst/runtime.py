@@ -67,9 +67,24 @@ def _canon_proc(p: S.Process) -> S.Process:
     p = S.unfold_spine(p)
     if isinstance(p, S.ExtChoice):
         flat = [q for b in p.branches for q in S.summands(_canon_proc(b))]
-        # str(q) prints q once and caches the text on it (`_text`).
-        return S.ExtChoice(tuple(sorted(flat, key=str)))
+        return S.ExtChoice(_in_printed_order(flat))
     return p
+
+
+def _in_printed_order(flat: list) -> tuple:
+    """The summands `flat`, sorted by their printed forms.  Input summands
+    with distinct headers `partner?label(var).` sort by the headers alone,
+    and the order is the same: a header is a prefix of its summand's text,
+    and no header is a proper prefix of another, as partner, label and
+    variable are identifiers closed by `?`, `(` and `).`.  So the bodies,
+    which can print as text far larger than their graphs, are printed only
+    when headers tie or a summand is not an input."""
+    if all(q.__class__ is S.Input for q in flat):
+        headers = [f"{q.partner}?{q.label}({q.var})." for q in flat]
+        if len(set(headers)) == len(headers):
+            return tuple(q for _, q in sorted(zip(headers, flat)))
+    # str(q) prints q once and caches the text on it (`_text`).
+    return tuple(sorted(flat, key=str))
 
 
 def _state(kept, changed) -> S.Session:
@@ -105,46 +120,70 @@ def step_all(m: S.Session) -> list[tuple[Step, S.Session]]:
     """Every one-step successor of the canonical form of m."""
     m = canonicalize(m)
     return [(step, _successor(m, step, proc, summand))
-            for step, proc, summand in _moves(m)]
+            for step, proc, summand in _moves(m, {})]
 
 
-def _moves(m: S.Session) -> list[tuple[Step, S.Process, S.Input | None]]:
+def _moves(m: S.Session, cache: dict) -> list[tuple[Step, S.Process, S.Input | None]]:
     """Every step of the canonical state m, in trace order, as a triple
     (step, proc, summand): `proc` is what the step's source continues as
     (the conditional's branch, or the sender's continuation) and `summand`
     is the receiver's summand that fires, or None for a conditional.  No
-    successor state is built here; `_successor` builds one."""
+    successor state is built here; `_successor` builds one.
+
+    A role's steps depend only on the role, its process and, for a sender,
+    its partner's process, so they are computed once per search: `cache`
+    maps (role, id(proc), id(partner's proc)) to the two processes and the
+    steps.  The entry holds the processes, so no id in a key is reused
+    while the cache lives."""
     mapping = dict(m.parts)
     out: list[tuple[Step, S.Process, S.Input | None]] = []
     for role, proc in m.parts:
-        if isinstance(proc, S.Cond):
-            for text, v in _values(proc.guard):
-                if not isinstance(v, S.BoolLit):
-                    continue
-                branch = proc.then if v.value else proc.orelse
-                rule = "t-conditional" if v.value else "f-conditional"
-                step = Step(rule, f"{role} --if({text})--> {role}",
-                            source=role, target=role, value=v)
-                out.append((step, branch, None))
-        elif isinstance(proc, S.Output):
-            offers = S.summands(mapping.get(proc.partner))
-            if not all(isinstance(q, S.Input) and q.partner == role
-                       for q in offers):
+        cls = proc.__class__
+        if cls is S.Cond:
+            other = None
+        elif cls is S.Output:
+            other = mapping.get(proc.partner)
+        else:
+            continue
+        key = (role, id(proc), id(other))
+        found = cache.get(key)
+        if found is None:
+            found = cache[key] = (proc, other, _role_moves(role, proc, other))
+        out += found[2]
+    return out
+
+
+def _role_moves(role: str, proc: S.Process, other: S.Process | None) -> list:
+    """The steps of `role`, whose canonical process `proc` is a conditional
+    or an output, and whose output's partner runs `other`."""
+    out = []
+    if proc.__class__ is S.Cond:
+        for text, v in _values(proc.guard):
+            if not isinstance(v, S.BoolLit):
                 continue
-            summands = [q for q in offers if q.label == proc.label]
-            if not summands:
-                continue
-            values = _values(proc.payload)
-            numbered = len(summands) > 1
-            for k, summand in enumerate(summands, 1):
-                number = k if numbered else None
-                tag = f" #{k}" if numbered else ""
-                for text, v in values:
-                    step = Step("r-comm",
-                                f"{role} --{proc.label}({text})--> {proc.partner}{tag}",
-                                source=role, target=proc.partner,
-                                label=proc.label, value=v, summand=number)
-                    out.append((step, proc.body, summand))
+            branch = proc.then if v.value else proc.orelse
+            rule = "t-conditional" if v.value else "f-conditional"
+            step = Step(rule, f"{role} --if({text})--> {role}",
+                        source=role, target=role, value=v)
+            out.append((step, branch, None))
+        return out
+    offers = S.summands(other)
+    if not all(isinstance(q, S.Input) and q.partner == role for q in offers):
+        return out
+    summands = [q for q in offers if q.label == proc.label]
+    if not summands:
+        return out
+    values = _values(proc.payload)
+    numbered = len(summands) > 1
+    for k, summand in enumerate(summands, 1):
+        number = k if numbered else None
+        tag = f" #{k}" if numbered else ""
+        for text, v in values:
+            step = Step("r-comm",
+                        f"{role} --{proc.label}({text})--> {proc.partner}{tag}",
+                        source=role, target=proc.partner,
+                        label=proc.label, value=v, summand=number)
+            out.append((step, proc.body, summand))
     return out
 
 
@@ -172,9 +211,12 @@ def _persistent(m: S.Session, moves: list) -> list:
     each member's head until no new one comes.  Of the groups grown from
     the source of some move, the one with the fewest moves is chosen, ties
     going to the first starting role in canonical order."""
+    sources = dict.fromkeys(move[0].source for move in moves)
+    if len(sources) == 1:
+        return moves
     heads = dict(m.parts)
     best = None
-    for role in dict.fromkeys(move[0].source for move in moves):
+    for role in sources:
         group = {role}
         todo = [role]
         while todo:
@@ -238,16 +280,17 @@ def stuck_search(m: S.Session, fuel: int) -> StuckReport:
     edges: dict[S.Session, list[S.Session]] = {}
     queue = deque([start])
     explored = 0
+    cache: dict = {}
     while queue:
         if explored >= fuel:
             return StuckReport("diverged", explored=explored)
         state = queue.popleft()
         explored += 1
-        if is_terminated(state):
-            edges[state] = []
-            continue
-        moves = _moves(state)
+        moves = _moves(state, cache)
         if not moves:
+            if is_terminated(state):
+                edges[state] = []
+                continue
             return StuckReport("stuckFound", _trace_to(parents, state),
                                state, explored)
         edges[state] = []
@@ -295,11 +338,12 @@ def run(m: S.Session, fuel: int) -> StuckReport:
         raise FuelMisuse(f"fuel must be a positive integer, got {fuel!r}")
     state = canonicalize(m)
     steps: list[Step] = []
+    cache: dict = {}
     for _ in range(fuel):
-        if is_terminated(state):
-            return StuckReport("terminated", tuple(steps), state, len(steps))
-        moves = _moves(state)
+        moves = _moves(state, cache)
         if not moves:
+            if is_terminated(state):
+                return StuckReport("terminated", tuple(steps), state, len(steps))
             return StuckReport("stuckFound", tuple(steps), state, len(steps))
         step, proc, summand = min(moves, key=lambda move: move[0].line)
         state = _successor(state, step, proc, summand)

@@ -40,27 +40,28 @@ def sub(a: S.SessionType, b: S.SessionType) -> bool:
 def _sub(a: S.SessionType, b: S.SessionType, theta: frozenset) -> bool:
     a = S.unfold_spine(a)
     b = S.unfold_spine(b)
-    if a is b or theta and (a, b) in theta:  # no hashing at the root
+    if a is b:
         return True
     if isinstance(a, (S.TEnd, S.TVar)):
         return a == b
-    if isinstance(a, S.TIn) and isinstance(b, S.TIn) and a.partner == b.partner:
+    if type(a) is not type(b) or a.partner != b.partner:
+        return False
+    grown = theta | {(a, b)}  # hashes the pair once
+    if len(grown) == len(theta):  # assumed on this path
+        return True
+    if isinstance(a, S.TIn):
         left = {br.label: br for br in a.branches}
         if not all(br.label in left and subsort(br.sort, left[br.label].sort)
                    for br in b.branches):
             return False
-        grown = theta | {(a, b)}
         return all(_sub(left[br.label].cont, br.cont, grown)
                    for br in b.branches)
-    if isinstance(a, S.TOut) and isinstance(b, S.TOut) and a.partner == b.partner:
-        right = {br.label: br for br in b.branches}
-        if not all(br.label in right and subsort(br.sort, right[br.label].sort)
-                   for br in a.branches):
-            return False
-        grown = theta | {(a, b)}
-        return all(_sub(br.cont, right[br.label].cont, grown)
-                   for br in a.branches)
-    return False
+    right = {br.label: br for br in b.branches}
+    if not all(br.label in right and subsort(br.sort, right[br.label].sort)
+               for br in a.branches):
+        return False
+    return all(_sub(br.cont, right[br.label].cont, grown)
+               for br in a.branches)
 
 
 # --------------------------------------------------------------------------
@@ -101,8 +102,10 @@ def nsub(a: S.SessionType, b: S.SessionType) -> NsubDerivation:
         x = S.unfold_spine(x)
         y = S.unfold_spine(y)
         key = (x, y)
-        if memo and key in memo:  # no hashing while nothing is memoised
-            return memo[key]
+        if memo:  # no hashing while nothing is memoised
+            found = memo.get(key)
+            if found is not None:
+                return found
         if isinstance(x, S.TVar) or isinstance(y, S.TVar):
             raise InternalError(f"negation search reached an open type: {x} vs {y}")
         found = _dispatch(x, y, visited)
@@ -171,10 +174,10 @@ def nsub(a: S.SessionType, b: S.SessionType) -> NsubDerivation:
             if not subsort(bx.sort, by.sort):
                 return NsubDerivation(rule, x, y,
                                       note=f"sort {bx.sort} is not a subsort of {by.sort}")
-        key = (x, y)
-        if key in visited:
+        grown = visited | {(x, y)}  # hashes the pair once
+        if len(grown) == len(visited):  # the pair is on the path already
             return None
-        d = search(bx.cont, by.cont, visited | {key})
+        d = search(bx.cont, by.cont, grown)
         if d is None:
             return None
         return NsubDerivation(rule, x, y, (d,))

@@ -420,7 +420,7 @@ class Session(_Shown):
         for p, proc in self.parts:
             if not (p.isascii() and p.isidentifier()):
                 raise ValueError(f"bad participant: {p!r}")
-            if p in participants_of(proc):
+            if _names_partner(proc, p):
                 raise SelfCommunication(f"participant {p} communicates with itself")
 
     def mapping(self) -> dict[str, "Process"]:
@@ -436,6 +436,32 @@ class Session(_Shown):
         for name in cls._caches:
             object.__setattr__(m, name, None)
         return m
+
+
+def _names_partner(proc: "Process", role: str) -> bool:
+    """Whether a prefix of `proc` names `role` as its partner.  One walk over
+    the distinct nodes of the process graph: a node reached along many
+    paths, as in a characteristic process, is visited once, and the walk
+    does not enter expressions, which name no participant."""
+    seen = set()
+    todo = [proc]
+    while todo:
+        t = todo.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        cls = t.__class__
+        if cls is Input or cls is Output:
+            if t.partner == role:
+                return True
+            todo.append(t.body)
+        elif cls is Cond:
+            todo += (t.then, t.orelse)
+        elif cls is ExtChoice:
+            todo += t.branches
+        elif cls is Rec:
+            todo.append(t.body)
+    return False
 
 
 # --------------------------------------------------------------------------
@@ -621,11 +647,23 @@ def subst(t, var, repl):
     renaming a binder `x` that would capture a free variable of `repl` to the
     first of `x_1`, `x_2`, ... not free in `repl` or the binder's body.
     Subtrees in which `var` is not free come back unchanged, as the same
-    objects."""
+    objects.  A node reached along several paths is substituted once, so
+    the result shares what `t` shares."""
+    return _subst(t, var, repl, {})
+
+
+def _subst(t, var, repl, done: dict):
+    """subst, with `done` mapping id(node) to the node and its result for
+    the nodes substituted so far in this call; holding the node keeps its
+    id from being reused while `done` lives."""
     if var not in free_vars(t):
         return t
     if type(t) is type(var):
         return repl
+    found = done.get(id(t))
+    if found is not None:
+        return found[1]
+    node = t
     kind = t._binds
     if kind is not None and kind(t.var) in free_vars(repl):
         taken = {v.name for v in free_vars(repl) | free_vars(t.body) if type(v) is kind}
@@ -637,8 +675,10 @@ def subst(t, var, repl):
         t = type(t)(*t._fixed(t)[:-1], name, subst(t.body, kind(t.var), kind(name)))
     kids = []
     for c in children(t):
-        kids.append(subst(c, var, repl))
-    return rebuild(t, kids)
+        kids.append(_subst(c, var, repl, done))
+    result = rebuild(t, kids)
+    done[id(node)] = (node, result)
+    return result
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from collections import deque
 import pytest
 
 import gen
+import mpst.printer
 import mpst.runtime
 from conftest import fixture_text
 from mpst import (
@@ -50,6 +51,30 @@ class TestCanonicalize:
     def test_terminated_members_are_dropped(self):
         m = canonicalize(M("@p q!l(1).0 || @q p?l(x).0 || @r 0"))
         assert show(m) == "@p q!l(1).0 || @q p?l(x).0"
+
+    def test_input_summands_sort_without_printing_their_bodies(self, monkeypatch):
+        # char_proc shares each input's continuation between the arms of its
+        # probe, so each summand's body prints as 2**16 copies of a prefix.
+        deep = "p?l(nat)." * 16 + "end"
+        proc = char_proc(parse_session_type(f"q?b(nat).{deep} & q?a(nat).{deep}"))
+        printed = []
+        show_proc = mpst.printer.show_proc
+
+        def counting(*args):
+            printed.append(args[0])
+            return show_proc(*args)
+
+        monkeypatch.setattr(mpst.printer, "show_proc", counting)
+        state = canonicalize(Session((("r", proc),)))
+        assert [q.label for q in state.parts[0][1].branches] == ["a", "b"]
+        assert printed == []
+
+    def test_summands_with_equal_headers_sort_by_their_text(self):
+        m = canonicalize(M("@p q?l(x).q?b(y).0 + q?l(x).q?a(y).0 + q!k(1).0"
+                           " || @q 0"))
+        assert show(m) == "@p q!k(1).0 + q?l(x).q?a(y).0 + q?l(x).q?b(y).0"
+        m = canonicalize(M("@p q?m(x).0 + q?l(y).0 + q?l(x).0 + r?a(x).0"))
+        assert show(m) == "@p q?l(x).0 + q?l(y).0 + q?m(x).0 + r?a(x).0"
 
     def test_is_terminated(self):
         assert is_terminated(M("@p 0"))
@@ -263,6 +288,35 @@ class TestReduction:
         report = stuck_search(M(text), 10000)
         assert (report.verdict, len(report.trace)) == (verdict, length)
         assert reference_search(M(text))[:2] == (verdict, length)
+
+    def test_a_search_computes_each_roles_moves_once(self, monkeypatch):
+        m = M(" || ".join(f"@a{i} b{i}!l(1).b{i}!m(2).0 || @b{i} a{i}?l(x).a{i}?m(y).0"
+                          for i in range(3)))
+        calls = []
+        values = mpst.runtime._values
+
+        def counting(e):
+            calls.append(e)
+            return values(e)
+
+        monkeypatch.setattr(mpst.runtime, "_values", counting)
+        report = stuck_search(m, 10000)
+        searched = len(calls)
+        assert report.verdict == "terminated"
+        # Every (role, process, partner's process) of a sender in the full
+        # state graph; each has its moves, and so its values, computed once.
+        triples, seen, todo = set(), set(), [canonicalize(m)]
+        while todo:
+            state = todo.pop()
+            mapping = state.mapping()
+            triples |= {(r, p, mapping.get(p.partner)) for r, p in state.parts
+                        if isinstance(p, S.Output)}
+            for _, nxt in step_all(state):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        assert len(triples) == 6
+        assert searched <= len(triples)
 
     def test_independent_groups_are_not_interleaved(self):
         m = M("@p q!l(1).q!m(2).0 || @q p?l(x).p?n(y).0 || " + THREE_MESSAGES)

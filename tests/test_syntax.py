@@ -504,6 +504,25 @@ class TestHelpers:
         assert show(q) == "q!l(7).q?x1(x).q!l(x).0"
 
 
+    def test_substitution_keeps_sharing(self, monkeypatch):
+        # char_proc shares each input's continuation between the arms of its
+        # probe: 2**16 paths lead to the recursion variable.
+        proc = char_proc(parse_session_type("mu t." + "p?l(nat)." * 16 + "t"))
+        calls = []
+        walk = S._subst
+
+        def counting(*args):
+            calls.append(args[0])
+            return walk(*args)
+
+        monkeypatch.setattr(S, "_subst", counting)
+        body = unfold(proc)
+        assert len(calls) < 1000
+        cond = body.body
+        assert cond.then is cond.orelse
+        assert body == subst(proc.body, S.ProcVar("X_t"), proc)
+
+
 class TestCaptureAvoidingRenaming:
     def test_process_binder_renamed_away_from_a_free_variable(self):
         p = parse_process("mu Y.q!l(1).X")
