@@ -24,8 +24,6 @@ session gets stuck.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-
 from . import syntax as S
 from .errors import FuelMisuse
 from .exprs import eval_all
@@ -120,14 +118,16 @@ def step_all(m: S.Session) -> list[tuple[Step, S.Session]]:
     """Every one-step successor of the canonical form of m."""
     m = canonicalize(m)
     return [(step, _successor(m, step, proc, summand))
-            for step, proc, summand in _moves(m, {})]
+            for some in _moves(m, {}).values()
+            for step, proc, summand in some]
 
 
-def _moves(m: S.Session, cache: dict) -> list[tuple[Step, S.Process, S.Input | None]]:
-    """Every step of the canonical state m, in trace order, as a triple
-    (step, proc, summand): `proc` is what the step's source continues as
-    (the conditional's branch, or the sender's continuation) and `summand`
-    is the receiver's summand that fires, or None for a conditional.  No
+def _moves(m: S.Session, cache: dict) -> dict[str, list]:
+    """The steps of the canonical state m, by source role, in trace order:
+    each role that has a step maps to its steps as triples (step, proc,
+    summand).  `proc` is what the step's source continues as (the
+    conditional's branch, or the sender's continuation) and `summand` is
+    the receiver's summand that fires, or None for a conditional.  No
     successor state is built here; `_successor` builds one.
 
     A role's steps depend only on the role, its process and, for a sender,
@@ -136,7 +136,7 @@ def _moves(m: S.Session, cache: dict) -> list[tuple[Step, S.Process, S.Input | N
     steps.  The entry holds the processes, so no id in a key is reused
     while the cache lives."""
     mapping = dict(m.parts)
-    out: list[tuple[Step, S.Process, S.Input | None]] = []
+    out = {}
     for role, proc in m.parts:
         cls = proc.__class__
         if cls is S.Cond:
@@ -149,7 +149,8 @@ def _moves(m: S.Session, cache: dict) -> list[tuple[Step, S.Process, S.Input | N
         found = cache.get(key)
         if found is None:
             found = cache[key] = (proc, other, _role_moves(role, proc, other))
-        out += found[2]
+        if found[2]:
+            out[role] = found[2]
     return out
 
 
@@ -205,18 +206,18 @@ def _partners(p: S.Process | None) -> list[str]:
             if isinstance(q, (S.Input, S.Output))]
 
 
-def _persistent(m: S.Session, moves: list) -> list:
+def _persistent(m: S.Session, moves: dict[str, list]) -> list:
     """The moves of one partner-closed group of roles of the canonical
-    state m: a group starts from one role and adds the partners named by
-    each member's head until no new one comes.  Of the groups grown from
-    the source of some move, the one with the fewest moves is chosen, ties
-    going to the first starting role in canonical order."""
-    sources = dict.fromkeys(move[0].source for move in moves)
-    if len(sources) == 1:
-        return moves
+    state m, given by source role in `moves`: a group starts from one role
+    and adds the partners named by each member's head until no new one
+    comes.  Of the groups grown from a role with moves, the one with the
+    fewest moves is chosen, ties going to the first starting role in
+    canonical order; its moves come in trace order."""
+    if len(moves) == 1:
+        return next(iter(moves.values()))
     heads = dict(m.parts)
     best = None
-    for role in sources:
+    for role in moves:
         group = {role}
         todo = [role]
         while todo:
@@ -224,7 +225,8 @@ def _persistent(m: S.Session, moves: list) -> list:
                 if partner not in group:
                     group.add(partner)
                     todo.append(partner)
-        chosen = [move for move in moves if move[0].source in group]
+        chosen = [move for source, some in moves.items() if source in group
+                  for move in some]
         if best is None or len(chosen) < len(best):
             best = chosen
     return best
@@ -276,49 +278,54 @@ def stuck_search(m: S.Session, fuel: int) -> StuckReport:
     if not isinstance(fuel, int) or fuel <= 0:
         raise FuelMisuse(f"fuel must be a positive integer, got {fuel!r}")
     start = canonicalize(m)
-    parents: dict[S.Session, tuple[S.Session, Step] | None] = {start: None}
-    edges: dict[S.Session, list[S.Session]] = {}
-    queue = deque([start])
-    explored = 0
+    number = {start: 0}  # each state found, by the order it was found in
+    states = [start]
+    links: list[tuple[int, Step] | None] = [None]  # how each was first reached
+    edges: list[list[int]] = []  # the successors of each explored state
     cache: dict = {}
-    while queue:
-        if explored >= fuel:
-            return StuckReport("diverged", explored=explored)
-        state = queue.popleft()
-        explored += 1
+    # Breadth first: the loop takes the states in the order they are found,
+    # including those appended while it runs, so state k is the k-th explored.
+    for k, state in enumerate(states):
+        if k >= fuel:
+            return StuckReport("diverged", explored=k)
         moves = _moves(state, cache)
         if not moves:
             if is_terminated(state):
-                edges[state] = []
+                edges.append([])
                 continue
-            return StuckReport("stuckFound", _trace_to(parents, state),
-                               state, explored)
-        edges[state] = []
+            return StuckReport("stuckFound", _trace_to(links, k), state, k + 1)
+        succs = []
         for step, proc, summand in _persistent(state, moves):
             nxt = _successor(state, step, proc, summand)
-            edges[state].append(nxt)
-            if nxt not in parents:
-                parents[nxt] = (state, step)
-                queue.append(nxt)
+            j = number.setdefault(nxt, len(states))
+            if j == len(states):
+                states.append(nxt)
+                links.append((k, step))
+            succs.append(j)
+        edges.append(succs)
     if _has_cycle(edges):
-        return StuckReport("noStuckWithinFuel", explored=explored)
-    return StuckReport("terminated", explored=explored)
+        return StuckReport("noStuckWithinFuel", explored=len(states))
+    return StuckReport("terminated", explored=len(states))
 
 
-def _trace_to(parents, state) -> tuple[Step, ...]:
+def _trace_to(links: list, k: int) -> tuple[Step, ...]:
     steps: list[Step] = []
-    while parents[state] is not None:
-        state, step = parents[state]
+    while links[k] is not None:
+        k, step = links[k]
         steps.append(step)
     return tuple(reversed(steps))
 
 
-def _has_cycle(edges: dict) -> bool:
-    """Whether the state graph has a cycle.  Peel it: count the edges into
-    each state, then remove states with none left, with their out-edges; a
-    cycle is what cannot be removed."""
-    into = Counter(n for succs in edges.values() for n in succs)
-    free = [s for s in edges if not into[s]]
+def _has_cycle(edges: list[list[int]]) -> bool:
+    """Whether the state graph, the successors of each state by number, has
+    a cycle.  Peel it: count the edges into each state, then remove states
+    with none left, with their out-edges; a cycle is what cannot be
+    removed."""
+    into = [0] * len(edges)
+    for succs in edges:
+        for n in succs:
+            into[n] += 1
+    free = [n for n, count in enumerate(into) if not count]
     left = len(edges)
     while free:
         left -= 1
@@ -345,7 +352,9 @@ def run(m: S.Session, fuel: int) -> StuckReport:
             if is_terminated(state):
                 return StuckReport("terminated", tuple(steps), state, len(steps))
             return StuckReport("stuckFound", tuple(steps), state, len(steps))
-        step, proc, summand = min(moves, key=lambda move: move[0].line)
+        step, proc, summand = min(
+            (move for some in moves.values() for move in some),
+            key=lambda move: move[0].line)
         state = _successor(state, step, proc, summand)
         steps.append(step)
     if is_terminated(state):

@@ -617,9 +617,9 @@ def free_vars(t) -> frozenset:
     found = t._free
     if found is None:
         found = frozenset((t,)) if isinstance(t, _Variable) else frozenset()
-        for c in children(t):
-            found = _join(found, free_vars(c))
-        if t._binds is not None:
+        for c in t._children(t):
+            found = _join(found, c._free or free_vars(c))
+        if found and t._binds is not None:
             found -= {t._binds(t.var)}
         object.__setattr__(t, "_free", found)
     return found
@@ -656,7 +656,7 @@ def _subst(t, var, repl, done: dict):
     """subst, with `done` mapping id(node) to the node and its result for
     the nodes substituted so far in this call; holding the node keeps its
     id from being reused while `done` lives."""
-    if var not in free_vars(t):
+    if var not in (t._free or free_vars(t)):
         return t
     if type(t) is type(var):
         return repl
