@@ -21,9 +21,16 @@ after '.' is a single item; parenthesise sums, conditionals and recursions.
 One regular expression splits the source into token texts, and a text alone
 says what it is: a keyword or symbol spells itself, a name is any other
 identifier, a number is digits after an optional '-', and the end of input
-is ''.  A token's line and column are computed only for a ParseError.
-Each session-type node is built once: a junction of n prefixes is one
-constructor call, and `end` and `0` are one shared node each.
+is ''.  `findall` steps over white space, a comment is a token that is
+dropped, and a token's line and column are computed only for a ParseError.
+
+Session types, processes and expressions are read by token index: a
+prefix's header, `name ?|! label ( sort )` in a type, `name ? label ( var )
+.` and `name ! label (` in a process, is checked as a whole, and only a
+malformed one is read again with the token methods, which report its first
+error.  Each session-type node is built once: a junction of n prefixes is
+one constructor call, and `end`, `0`, `true` and `false` are one shared
+node each.
 """
 
 from __future__ import annotations
@@ -261,7 +268,7 @@ class _Parser:
         while True:
             i = self.pos
             name = toks[i + 1] if toks[i] == "@" else ""
-            if not name.isidentifier() or name in _KEYWORDS:
+            if not _is_name(name):
                 self.eat("@")
                 self.ident("a participant")
             if name in entries:

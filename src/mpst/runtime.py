@@ -3,13 +3,17 @@
 States are kept in a congruence-canonical form: recursion at the head of a
 process is unfolded, external choices are flattened and their summands sorted
 by printed form, terminated participants are dropped, and a lone sentinel
-entry stands in when everyone has terminated.  Two congruent sessions map to
-the same canonical state, which is what lets the search deduplicate.  The
+entry stands in when everyone has terminated.  Input summands with distinct
+headers `partner?label(var).` sort by the headers alone, which is the same
+order, so their bodies are not printed.  Two congruent sessions map to the
+same canonical state, which is what lets the search deduplicate.  The
 search canonicalises its start state once; after that a successor
 re-canonicalises only the entries its step changed and keeps the others,
 which are canonical already.  The search expands one partner-closed group
 of roles per state (a partial-order reduction, argued in `stuck_search`);
-`step_all` and `run` see every step.
+`step_all` and `run` see every step.  A search or run computes the moves
+of a role once for each process it runs and partner process it meets, in
+a cache that lives as long as the search.
 
 Reduction follows the synchronous rules literally: a communication fires only
 when the sender's entire process is an output and the receiver's is an input

@@ -535,13 +535,20 @@ class TestMalformedInput:
                         or sys.version_info[:2] != (3, 11),
                         reason="README states the limits for CPython 3.11")
     @pytest.mark.parametrize("argv, limit", [
-        (("parse",), 989), (("char-global", "r"), 494)])
+        (("parse", "chain.mpst"), 989), (("char-global", "chain.mpst", "r"), 494),
+        (("check-proc", "chain.mps", "chain.mpst"), 986),
+        (("run", "pair.mps"), 985), (("stuck", "pair.mps"), 494)])
     def test_nesting_limits_stated_in_the_readme(self, tmp_path, argv, limit):
-        source = tmp_path / "chain.mpst"
+        chains = {"chain.mpst": lambda n: "p!l(nat)." * n + "end",
+                  "chain.mps": lambda n: "p!l(1)." * n + "0",
+                  "pair.mps": lambda n: ("@p " + "q!l(1)." * n + "0 || @q "
+                                         + "p?l(x)." * n + "0")}
         for n, code, err in ((limit, 0, ""),
                              (limit + 1, 2, "error: input nests too deeply\n")):
-            source.write_text("p!l(nat)." * n + "end")
-            done = run_fresh(argv[0], str(source), *argv[1:])
+            for name, chain in chains.items():
+                (tmp_path / name).write_text(chain(n))
+            done = run_fresh(argv[0], *(str(tmp_path / a) if a in chains else a
+                                        for a in argv[1:]))
             assert (done.returncode, done.stderr) == (code, err), n
 
     @pytest.mark.parametrize("name, text, argv, message", [
