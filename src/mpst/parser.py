@@ -116,9 +116,10 @@ class _Parser:
         return True
 
     def eat(self, text: str) -> None:
-        if not self.accept(text):
+        if self.toks[self.pos] != text:
             self.fail(f"expected keyword {text!r}" if text in _KEYWORDS
                       else f"expected {text!r}")
+        self.pos += 1
 
     def ident(self, what: str) -> str:
         if not _is_name(self.peek()):

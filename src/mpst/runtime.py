@@ -231,6 +231,8 @@ def _persistent(m: S.Session, moves: dict[str, list]) -> list:
                     todo.append(partner)
         chosen = [move for source, some in moves.items() if source in group
                   for move in some]
+        if len(chosen) == 1:  # no later group has fewer
+            return chosen
         if best is None or len(chosen) < len(best):
             best = chosen
     return best

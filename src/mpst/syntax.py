@@ -618,7 +618,11 @@ def free_vars(t) -> frozenset:
     if found is None:
         found = frozenset((t,)) if isinstance(t, _Variable) else frozenset()
         for c in t._children(t):
-            found = _join(found, c._free or free_vars(c))
+            more = c._free
+            if more is None:
+                more = free_vars(c)
+            if more:
+                found = found | more if found else more
         if found and t._binds is not None:
             found -= {t._binds(t.var)}
         object.__setattr__(t, "_free", found)
@@ -656,7 +660,10 @@ def _subst(t, var, repl, done: dict):
     """subst, with `done` mapping id(node) to the node and its result for
     the nodes substituted so far in this call; holding the node keeps its
     id from being reused while `done` lives."""
-    if var not in (t._free or free_vars(t)):
+    free = t._free
+    if free is None:
+        free = free_vars(t)
+    if not free or var not in free:
         return t
     if type(t) is type(var):
         return repl
