@@ -655,6 +655,11 @@ class TestImmutableValues:
                     delattr(x, f)
             assert repr(x) == before
 
+    def test_hash_is_the_hash_of_the_field_tuple(self):
+        # Pins every hash value, and with them every set and dict order.
+        for x in _values_below(self.samples()):
+            assert hash(x) == hash(tuple(getattr(x, f) for f in type(x)._fields))
+
     def test_repr_names_every_declared_field(self):
         b = Branch("l", Sort.NAT, TEnd())
         assert repr(b) == (
