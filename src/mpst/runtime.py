@@ -85,7 +85,6 @@ def _in_printed_order(flat: list) -> tuple:
         headers = [f"{q.partner}?{q.label}({q.var})." for q in flat]
         if len(set(headers)) == len(headers):
             return tuple(q for _, q in sorted(zip(headers, flat)))
-    # str(q) prints q once and caches the text on it (`_text`).
     return tuple(sorted(flat, key=str))
 
 

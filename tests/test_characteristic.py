@@ -27,6 +27,7 @@ from mpst import (
     stuck_search,
     sub,
 )
+from mpst import syntax as S
 from mpst.errors import TypingError
 
 T = parse_session_type
@@ -117,6 +118,21 @@ class TestCharProc:
         assert show(char_proc(t)) == (
             "mu X_t.p?a(x).(if not x then X_t else X_t)"
             " + p?b(x).(if succ x > 0 then 0 else 0)")
+
+    def test_text_is_the_tree_and_doubles_per_input(self):
+        # Each input's conditional shares one continuation in both arms,
+        # so the graph grows by six nodes per input and its text, the
+        # paper's tree, to twice the continuation's text plus 34 characters.
+        for k in range(13):
+            p = char_proc(T("p?l(nat)." * k + "end"))
+            seen, todo = set(), [p]
+            while todo:
+                t = todo.pop()
+                if id(t) not in seen:
+                    seen.add(id(t))
+                    todo += S.children(t)
+            assert len(str(p)) == 35 * 2 ** k - 34
+            assert len(seen) == 6 * k + 1
 
     def test_characteristic_process_has_its_type(self):
         rng = random.Random(703)

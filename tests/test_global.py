@@ -118,6 +118,28 @@ class TestProjection:
             sys.settrace(old)
         assert entered == []
 
+    def test_participants_are_computed_once_per_node(self, monkeypatch):
+        # Each binder asks for the participants of its body.  Cached on the
+        # node (`_parts`), that is one `_roles` read per distinct node, 301
+        # here; an uncached walk reads 30 601.
+        g = parse_global_type("".join(
+            f"mu t{i}.p -> q : l(nat)." for i in range(100)) + "t0")
+        nodes, classes, todo = set(), set(), [g]  # g keeps every id alive
+        while todo:
+            t = todo.pop()
+            if id(t) not in nodes:
+                nodes.add(id(t))
+                classes.add(type(t))
+                todo += S.children(t)
+        read = []
+        for cls in classes:
+            roles = cls._roles
+            monkeypatch.setattr(cls, "_roles", staticmethod(
+                lambda t, roles=roles: read.append(id(t)) or roles(t)))
+        assert set(project_all(g)) == {"p", "q"}
+        assert len(read) == len(nodes) == 301
+        assert set(read) == nodes
+
     def test_reused_binder_names_project_alike(self):
         rng = random.Random(1010)
         changed = 0

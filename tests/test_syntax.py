@@ -588,10 +588,10 @@ class TestCachedHash:
         for node in (m, S.Var("x"), S.ProcVar("X")):
             free_vars(node)
             participants_of(node)
-            assert str(node) is str(node)
+            hash(node)
             for clone in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node)):
                 assert clone == node and clone._free is None
-                assert clone._parts is None and clone._text is None
+                assert clone._parts is None and clone._hash is None
                 assert str(clone) == str(node)
 
     def test_variables_of_different_categories_differ(self):
