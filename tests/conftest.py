@@ -8,7 +8,7 @@ section so a plain ``pytest -v`` run shows the per-criterion verdicts.
 
 from importlib import resources
 
-from mpst.syntax import GComm, TIn, TOut, unfold_spine
+from mpst.syntax import GComm, TIn, TOut, children, unfold_spine
 
 acceptance_lines = []
 
@@ -30,6 +30,18 @@ def subterm_closure(t) -> frozenset:
         if isinstance(node, (TIn, TOut, GComm)):
             stack.extend(b.cont for b in node.branches)
     return frozenset(seen)
+
+
+def distinct_nodes(root) -> list:
+    """The distinct nodes of a term graph, each once however many paths
+    reach it."""
+    seen, todo = {}, [root]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            todo += children(t)
+    return list(seen.values())
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

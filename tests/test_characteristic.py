@@ -5,7 +5,7 @@ import random
 import pytest
 
 import gen
-from conftest import fixture_text
+from conftest import distinct_nodes, fixture_text
 from mpst import (
     InternalError,
     ParticipantClash,
@@ -27,7 +27,6 @@ from mpst import (
     stuck_search,
     sub,
 )
-from mpst import syntax as S
 from mpst.errors import TypingError
 
 T = parse_session_type
@@ -125,14 +124,8 @@ class TestCharProc:
         # paper's tree, to twice the continuation's text plus 34 characters.
         for k in range(13):
             p = char_proc(T("p?l(nat)." * k + "end"))
-            seen, todo = set(), [p]
-            while todo:
-                t = todo.pop()
-                if id(t) not in seen:
-                    seen.add(id(t))
-                    todo += S.children(t)
             assert len(str(p)) == 35 * 2 ** k - 34
-            assert len(seen) == 6 * k + 1
+            assert len(distinct_nodes(p)) == 6 * k + 1
 
     def test_characteristic_process_has_its_type(self):
         rng = random.Random(703)

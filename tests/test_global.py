@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import gen
-from conftest import fixture_text
+from conftest import distinct_nodes, fixture_text
 from mpst import (
     CommAction,
     ConsumeUndefined,
@@ -124,21 +124,15 @@ class TestProjection:
         # here; an uncached walk reads 30 601.
         g = parse_global_type("".join(
             f"mu t{i}.p -> q : l(nat)." for i in range(100)) + "t0")
-        nodes, classes, todo = set(), set(), [g]  # g keeps every id alive
-        while todo:
-            t = todo.pop()
-            if id(t) not in nodes:
-                nodes.add(id(t))
-                classes.add(type(t))
-                todo += S.children(t)
+        nodes = distinct_nodes(g)
         read = []
-        for cls in classes:
+        for cls in {type(t) for t in nodes}:
             roles = cls._roles
             monkeypatch.setattr(cls, "_roles", staticmethod(
                 lambda t, roles=roles: read.append(id(t)) or roles(t)))
         assert set(project_all(g)) == {"p", "q"}
         assert len(read) == len(nodes) == 301
-        assert set(read) == nodes
+        assert set(read) == {id(t) for t in nodes}
 
     def test_reused_binder_names_project_alike(self):
         rng = random.Random(1010)
