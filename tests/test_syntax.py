@@ -660,6 +660,23 @@ class TestImmutableValues:
         for x in _values_below(self.samples()):
             assert hash(x) == hash(tuple(getattr(x, f) for f in type(x)._fields))
 
+    def test_readers_read_the_declared_fields(self):
+        # Pins the shape readers the traversal goes through, on a sample of
+        # every term class (see test_every_value_class_is_sampled).
+        for x in _values_below(self.samples()):
+            if not isinstance(x, S._Term):
+                continue
+            cls = type(x)
+            if cls is S.Session:
+                assert S.children(x) == tuple(p for _, p in x.parts)
+                assert x._roles(x) == tuple(r for r, _ in x.parts)
+                continue
+            kids = tuple(getattr(x, f) for f in cls._kids)
+            assert S.children(x) == (kids[0] if cls._many else kids), cls
+            assert x._fixed(x) == tuple(getattr(x, f) for f in cls._fields
+                                        if f not in cls._kids), cls
+            assert x._roles(x) == tuple(getattr(x, f) for f in cls._names), cls
+
     def test_repr_names_every_declared_field(self):
         b = Branch("l", Sort.NAT, TEnd())
         assert repr(b) == (
