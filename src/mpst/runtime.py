@@ -344,24 +344,22 @@ def _has_cycle(edges: list[list[int]]) -> bool:
 def run(m: S.Session, fuel: int) -> StuckReport:
     """Walk one maximal reduction path, taking the first step in trace
     order at each state and building only its successor.  Reports
-    terminated, stuckFound (of this path), or diverged when fuel steps were
-    taken without finishing."""
+    terminated or stuckFound (of this path) when the path ends within fuel
+    steps, the last unit of fuel included, or diverged when fuel steps were
+    taken and the state reached can still move."""
     if not isinstance(fuel, int) or fuel <= 0:
         raise FuelMisuse(f"fuel must be a positive integer, got {fuel!r}")
     state = canonicalize(m)
     steps: list[Step] = []
     cache: dict = {}
-    for _ in range(fuel):
+    while True:
         moves = _moves(state, cache)
-        if not moves:
-            if is_terminated(state):
-                return StuckReport("terminated", tuple(steps), state, len(steps))
-            return StuckReport("stuckFound", tuple(steps), state, len(steps))
+        if not moves or len(steps) == fuel:
+            verdict = ("diverged" if moves else
+                       "terminated" if is_terminated(state) else "stuckFound")
+            return StuckReport(verdict, tuple(steps), state, len(steps))
         step, proc, summand = min(
             (move for some in moves.values() for move in some),
             key=lambda move: move[0].line)
         state = _successor(state, step, proc, summand)
         steps.append(step)
-    if is_terminated(state):
-        return StuckReport("terminated", tuple(steps), state, len(steps))
-    return StuckReport("diverged", tuple(steps), state, len(steps))

@@ -86,7 +86,8 @@ def frozen(cls):
     the fields named in `_idents` are identifiers, sets the fields, clears
     every cached fact and runs `__post_init__`; an `__eq__` over the tuple
     of its fields; and a `__hash__` of that same tuple, cached in
-    `_hash`."""
+    `_hash`.  A term class also gets its shape readers (see `_Term`), as
+    plain getters: compiling them too would slow `import mpst`."""
     ns = dict(vars(cls))
     own = tuple(ns.get("__annotations__", ()))
     defaults = {f: ns.pop(f) for f in own if f in ns}
@@ -116,6 +117,14 @@ def frozen(cls):
         theirs="".join(f"other.{f}, " for f in fields)), env)
     cls.__init__, cls.__eq__, cls.__hash__ = (
         env["__init__"], env["__eq__"], env["__hash__"])
+    if issubclass(cls, _Term):
+        cut = len(fields) - len(cls._kids)
+        assert fields[cut:] == cls._kids, f"{cls.__name__}: kids must come last"
+        cls._fixed = staticmethod(_getter(fields[:cut]))
+        if "_children" not in ns:  # Session spells its readers out
+            cls._children = staticmethod(
+                attrgetter(cls._kids[0]) if cls._many else _getter(cls._kids))
+            cls._roles = staticmethod(_getter(cls._names))
     return cls
 
 
@@ -143,8 +152,10 @@ class Record:
     __dataclass_fields__ = _DataclassFields()
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+        fields = []  # a loop, not a generator: one frame less per level
+        for f in self._fields:
+            fields.append(f"{f}={getattr(self, f)!r}")
+        return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __setattr__(self, name, *value):
         raise AttributeError(
@@ -169,12 +180,12 @@ class _Term(Record):
       _idents the fields the constructor checks are identifiers, each
               with what it names in the message.
 
-    From these the class gets `_children`, `_fixed` (the other fields) and
-    `_roles`, which everything below goes through.  Terms are shared
-    graphs, so facts derived from a node are cached on it in slots that
-    are not fields, which equality, hashing and repr never see.  Each
-    cache pays (CPython 3.11 on a 2-core VM; "the items" are the first
-    1 000 `subtype` items of bench seed 1):
+    From these `frozen` gives the class its readers `_children`, `_fixed`
+    (the other fields) and `_roles`, which everything below goes through.
+    Terms are shared graphs, so facts derived from a node are cached on it
+    in slots that are not fields, which equality, hashing and repr never
+    see.  Each cache pays (CPython 3.11 on a 2-core VM; "the items" are
+    the first 1 000 `subtype` items of bench seed 1):
       _hash      the hash: without it the items take 3 times as long, and
                  hashing the characteristic process of 18 inputs 1.3 s;
       _free      free variables, so `subst` skips a subtree at once:
@@ -192,19 +203,6 @@ class _Term(Record):
     _many = False
     _names = ()
     _binds = None
-    _fixed = _children = _roles = staticmethod(lambda t: ())
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super(_Term, cls).__init_subclass__(**kwargs)
-        fields = tuple(vars(cls).get("__annotations__", ()))
-        if not fields or "_children" in vars(cls):  # a base, or Session
-            return
-        cut = len(fields) - len(cls._kids)
-        assert fields[cut:] == cls._kids, f"{cls.__name__}: kids must come last"
-        cls._fixed = staticmethod(_getter(fields[:cut]))
-        cls._children = staticmethod(
-            attrgetter(cls._kids[0]) if cls._many else _getter(cls._kids))
-        cls._roles = staticmethod(_getter(cls._names))
 
 
 class _Shown(_Term):
@@ -403,7 +401,7 @@ class Session(_Shown):
 
     parts: tuple[tuple[str, "Process"], ...]
     # The subterms and participant names sit inside the (name, process)
-    # pairs, so a session spells its getters out; it is never rebuilt.
+    # pairs, so a session spells these readers out; it is never rebuilt.
     _children = staticmethod(lambda m: tuple(p for _, p in m.parts))
     _roles = staticmethod(lambda m: tuple(r for r, _ in m.parts))
 
@@ -587,20 +585,13 @@ GlobalType = Union[GComm, GRec, GVar, GEnd]
 
 
 # --------------------------------------------------------------------------
-# The traversal: children, rebuilding, free variables and participants
+# The traversal: children, free variables and participants
 # --------------------------------------------------------------------------
 
 
 def children(t) -> tuple:
     """The immediate subterms of t, in field order."""
     return t._children(t)
-
-
-def rebuild(t, kids):
-    """t with its children replaced by `kids`."""
-    if t._many:
-        return type(t)(*t._fixed(t), tuple(kids))
-    return type(t)(*t._fixed(t), *kids)
 
 
 def _join(a: frozenset, b: frozenset) -> frozenset:
@@ -680,7 +671,7 @@ def _subst(t, var, repl, done: dict):
     kids = []
     for c in children(t):
         kids.append(_subst(c, var, repl, done))
-    result = rebuild(t, kids)
+    result = type(t)(*t._fixed(t), *((tuple(kids),) if t._many else kids))
     done[id(node)] = (node, result)
     return result
 
@@ -731,14 +722,11 @@ def regular_tree_equal(a, b) -> bool:
         if key in assumed:
             return True
         assumed.add(key)
-        return (type(x) is type(y) and isinstance(x, (TIn, TOut, GComm))
+        if not (type(x) is type(y) and isinstance(x, (TIn, TOut, GComm))
                 and x._roles(x) == y._roles(y)
-                and _branches_eq(x.branches, y.branches))
-
-    def _branches_eq(bs, cs) -> bool:
-        if len(bs) != len(cs):
+                and len(x.branches) == len(y.branches)):
             return False
-        for b, c in zip(bs, cs):  # both sides are label-sorted
+        for b, c in zip(x.branches, y.branches):  # both sides are label-sorted
             if b.label != c.label or b.sort != c.sort or not go(b.cont, c.cont):
                 return False
         return True

@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -19,6 +20,21 @@ import mpst
 from mpst import cli
 from mpst.cli import main
 from mpst.errors import InternalError
+
+
+# The longest chains each command accepts, as README states them: a
+# command with its arguments, the inputs named by the chain they hold.
+_NESTING_LIMITS = [
+    (("parse", "chain.mpst"), 989),
+    (("subtype", "chain.mpst", "chain.mpst"), 247),
+    (("precise", "chain.mpst", "chain.mpst"), 246),
+    (("char-global", "chain.mpst", "r"), 494),
+    (("char-proc", "chain.mpst"), 495),
+    (("project", "chain.gt", "p"), 494),
+    (("check-proc", "chain.mps", "chain.mpst"), 986),
+    (("run", "pair.mps"), 985),
+    (("stuck", "pair.mps"), 494),
+    (("check-session", "pair.mps", "chain.gt"), 493)]
 
 
 def invoke(*argv):
@@ -534,12 +550,10 @@ class TestMalformedInput:
     @pytest.mark.skipif(sys.implementation.name != "cpython"
                         or sys.version_info[:2] != (3, 11),
                         reason="README states the limits for CPython 3.11")
-    @pytest.mark.parametrize("argv, limit", [
-        (("parse", "chain.mpst"), 989), (("char-global", "chain.mpst", "r"), 494),
-        (("check-proc", "chain.mps", "chain.mpst"), 986),
-        (("run", "pair.mps"), 985), (("stuck", "pair.mps"), 494)])
+    @pytest.mark.parametrize("argv, limit", _NESTING_LIMITS)
     def test_nesting_limits_stated_in_the_readme(self, tmp_path, argv, limit):
         chains = {"chain.mpst": lambda n: "p!l(nat)." * n + "end",
+                  "chain.gt": lambda n: "p -> q : l(nat)." * n + "end",
                   "chain.mps": lambda n: "p!l(1)." * n + "0",
                   "pair.mps": lambda n: ("@p " + "q!l(1)." * n + "0 || @q "
                                          + "p?l(x)." * n + "0")}
@@ -550,6 +564,15 @@ class TestMalformedInput:
             done = run_fresh(argv[0], *(str(tmp_path / a) if a in chains else a
                                         for a in argv[1:]))
             assert (done.returncode, done.stderr) == (code, err), n
+
+    def test_every_nesting_limit_in_the_readme_is_checked(self):
+        text = (pathlib.Path(__file__).parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        limits = text[text.index("longest chains of n prefixes"):
+                      text.index("Other shapes nest")]
+        stated = {(command, int(n)) for n, command
+                  in re.findall(r"(\d+)\s+for\s+`([\w-]+)`", limits)}
+        assert stated == {(argv[0], n) for argv, n in _NESTING_LIMITS}
 
     @pytest.mark.parametrize("name, text, argv, message", [
         ("letter.mpst", "pé!l(nat).end", ("parse",),

@@ -164,6 +164,14 @@ class TestRun:
         assert report.verdict == "terminated"
         assert [st.line for st in report.trace] == ["p --l(1)--> q"]
 
+    def test_run_stuck_on_its_last_unit_of_fuel(self):
+        m = parse_session("@p q!l(1).q!n(2).0 || @q p?l(x).p?m(y).0")
+        for fuel in (1, 2):
+            report = run(m, fuel)
+            assert report.verdict == "stuckFound", fuel
+            assert [st.line for st in report.trace] == ["p --l(1)--> q"]
+            assert str(report.state) == "@p q!n(2).0 || @q p?m(y).0"
+
     def test_run_exhausts_fuel_on_loops(self):
         report = run(load_session("adder.mps"), 20)
         assert report.verdict == "diverged"

@@ -686,6 +686,13 @@ class TestImmutableValues:
             "NsubDerivation(rule='r', left=TEnd(), right=TEnd(), "
             "children=(), note='')")
 
+    def test_repr_of_deeply_nested_terms(self):
+        chain = parse_session_type("p!l(nat)." * 150 + "end")
+        assert repr(chain).count("TOut(partner='p'") == 150
+        binders = parse_global_type("".join(
+            f"mu t{i}.p -> q : l(nat)." for i in range(100)) + "end")
+        assert repr(binders).count("GRec(var='t") == 100
+
     def test_fields_are_taken_by_position_or_keyword(self):
         b = Branch(cont=TEnd(), label="l", sort=Sort.NAT)
         assert b == Branch("l", Sort.NAT, TEnd())
