@@ -22,8 +22,8 @@ from mpst.cli import main
 from mpst.errors import InternalError
 
 
-# The longest chains each command accepts, as README states them: a
-# command with its arguments, the inputs named by the chain they hold.
+# The longest chain each command accepts, as README states it.  Input
+# arguments name the chain files the test writes.
 _NESTING_LIMITS = [
     (("parse", "chain.mpst"), 989),
     (("subtype", "chain.mpst", "chain.mpst"), 247),
