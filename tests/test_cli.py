@@ -670,6 +670,59 @@ class TestJsonErrors:
         assert "the following arguments are required: right" in err
 
 
+# The commands of README's `sh` block, in its order, then negative cases.
+# `my_client.proc` names a file holding `char-proc fixtures/sec5_nat.mpst`.
+README_COMMANDS = [
+    "parse fixtures/sec3_global.gt",
+    "subtype fixtures/sec5_nat.mpst fixtures/sec5_int.mpst",
+    "project fixtures/sec3_global.gt r",
+    "check-proc my_client.proc fixtures/sec5_nat.mpst",
+    "check-session fixtures/adder.mps fixtures/adder.gt",
+    "run fixtures/adder_zero.mps --trace",
+    "stuck fixtures/adder_mismatch.mps --fuel 10000",
+    "char-global fixtures/ex1_T.mpst p",
+    "char-proc fixtures/ex1_T.mpst",
+    "precise fixtures/ex2_T.mpst fixtures/ex2_Tp.mpst",
+]
+NEGATIVE_COMMANDS = [
+    "subtype fixtures/sec5_int.mpst fixtures/sec5_nat.mpst",
+    "project fixtures/sec3_global.gt zz",
+    "run fixtures/adder_mismatch.mps",
+    "stuck fixtures/adder.mps",
+    "precise fixtures/sec5_int.mpst fixtures/sec5_nat.mpst",
+]
+# Exit code, stdout and stderr of each command, plain and with --json.
+README_GOLDEN = pathlib.Path(__file__).parent / "readme_commands.json"
+
+
+def pinned_outcome(tmp_path, command, as_json):
+    """`mpst [--json] command` as (code, stdout, stderr), with the timing
+    in a JSON document masked."""
+    client = tmp_path / "my_client.proc"
+    if not client.exists():
+        client.write_text(invoke("char-proc", "fixtures/sec5_nat.mpst")[1])
+    argv = [str(client) if a == client.name else a for a in command.split()]
+    code, out, err = invoke(*(["--json"] if as_json else []), *argv)
+    return [code, re.sub(r'"seconds": [^\n]*', '"seconds": "*"', out), err]
+
+
+class TestReadmeCommands:
+    def test_the_table_holds_every_command_in_the_readme(self):
+        text = (pathlib.Path(__file__).parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        block = text[text.index("```sh\nmpst "):]
+        block = block[len("```sh\n"):block.index("```", 1)]
+        assert [line.removeprefix("mpst ") for line in block.splitlines()] \
+            == README_COMMANDS
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+    @pytest.mark.parametrize("command", README_COMMANDS + NEGATIVE_COMMANDS)
+    def test_output_is_pinned(self, tmp_path, command, as_json):
+        golden = json.loads(README_GOLDEN.read_text(encoding="utf-8"))
+        key = ("--json " if as_json else "") + command
+        assert pinned_outcome(tmp_path, command, as_json) == golden[key]
+
+
 # Characters the grammar is made of, plus non-ASCII letters and digits.
 FUZZ_ALPHABET = list("?!.&+>{}(),:@#-|\\/ \n_019lpqrxXt") + ["é", "²", "٣"]
 
