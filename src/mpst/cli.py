@@ -2,8 +2,8 @@
 
 Commands map one-to-one onto library operations: parse, subtype, project,
 check-proc, check-session, run, stuck, char-global, char-proc, precise.
-One table declares them; one loader parses their arguments and one
-emitter prints each report.
+One table declares them, one loader parses their arguments, and one emitter
+prints each answer, returned unprinted, once and in the one form asked for.
 
 Exit codes: 0 for positive verdicts (subtype holds, well typed, projection
 defined, terminated or safe), 1 for negative verdicts (refutation found, ill
@@ -44,7 +44,7 @@ from .errors import DuplicateLabel, FuelMisuse, MpstError, NumberTooLong, \
 from .global_types import project
 from .parser import parse, parse_process, parse_session
 from .runtime import run as run_session, stuck_search
-from .subtyping import decide, format_derivation
+from .subtyping import NsubDerivation, decide, format_derivation
 from .syntax import free_vars, participants_of
 from .typecheck import check_process, check_session
 
@@ -122,31 +122,19 @@ def _load(args, params) -> None:
         setattr(args, name, value)
 
 
-def _derivation_dict(d) -> dict:
-    out = {"rule": d.rule, "left": str(d.left), "right": str(d.right)}
-    if d.note:
-        out["note"] = d.note
-    if d.children:
-        out["children"] = [_derivation_dict(c) for c in d.children]
-    return out
-
-
 def _shown(term):
-    text = str(term)
-    return "ok", text, [text], 0
+    return "ok", term, [term], 0
 
 
 def _parse(args):
-    text = str(args.file)
-    return "ok", {"category": args.category, "text": text}, [text], 0
+    return "ok", {"category": args.category, "text": args.file}, [args.file], 0
 
 
 def _subtype(args):
     verdict = decide(args.left, args.right)
     if verdict.relation == "leq":
         return "leq", None, ["≤"], 0
-    d = verdict.derivation
-    return "nleq", _derivation_dict(d), [format_derivation(d)], 1
+    return "nleq", verdict.derivation, [verdict.derivation], 1
 
 
 def _project(args):
@@ -157,7 +145,7 @@ def _project(args):
         return _shown(project(args.file, args.participant))
     except ProjectionError as e:
         witness = {"kind": e.kind, "path": list(e.path), "detail": e.detail}
-        return "undefined", witness, [str(e)], 1
+        return "undefined", witness, [e], 1
 
 
 def _typed(check, *terms):
@@ -165,27 +153,25 @@ def _typed(check, *terms):
         check(*terms)
     except TypingError as e:
         witness = {"rule": e.rule, "path": list(e.path), "message": e.message}
-        return "illTyped", witness, [str(e)], 1
+        return "illTyped", witness, [e], 1
     return "ok", None, ["ok"], 0
 
 
 def _run(args):
     report = run_session(args.session, args.fuel)
     trace = [step.line for step in report.trace]
-    witness = {"trace": trace, "state": str(report.state), "steps": len(trace)}
+    witness = {"trace": trace, "state": report.state, "steps": len(trace)}
     shown = trace if args.trace or report.verdict == "stuckFound" else []
-    lines = shown + [f"{report.verdict} after {len(trace)} steps: {report.state}"]
+    lines = shown + [(f"{report.verdict} after {len(trace)} steps: ", report.state)]
     return report.verdict, witness, lines, int(report.verdict != "terminated")
 
 
 def _stuck(args):
     report = stuck_search(args.session, args.fuel)
     trace = [step.line for step in report.trace]
-    witness = {"trace": trace,
-               "state": str(report.state) if report.state else None,
-               "explored": report.explored}
+    witness = {"trace": trace, "state": report.state, "explored": report.explored}
     if report.verdict == "stuckFound":
-        lines = trace + [f"stuckFound after {len(trace)} steps: {report.state}"]
+        lines = trace + [(f"stuckFound after {len(trace)} steps: ", report.state)]
     elif report.verdict == "diverged":
         lines = [f"diverged: fuel exhausted after {report.explored} states"]
     else:
@@ -202,16 +188,15 @@ def _precise(args):
         "ok": report.ok,
         "detail": report.detail,
         "trace": [step.line for step in report.trace],
-        "derivation": (_derivation_dict(report.derivation)
-                       if report.derivation else None),
-        "session": str(report.session) if report.session is not None else None,
+        "derivation": report.derivation,
+        "session": report.session,
     }
     lines = [f"{report.relation}: {report.detail}"]
     if report.derivation is not None:
-        lines.append(format_derivation(report.derivation))
+        lines.append(report.derivation)
     lines += witness["trace"]
     if report.stuck_state is not None:
-        lines.append(f"stuck state: {report.stuck_state}")
+        lines.append(("stuck state: ", report.stuck_state))
     if report.ok is False:
         lines.append("preciseness property violated; this indicates a bug")
     code = int(report.ok is not True or report.relation != "leq")
@@ -280,14 +265,29 @@ def _failure(e: Exception) -> tuple[str, int]:
     return f"{type(e).__name__}: {e}", 2 if isinstance(e, ill_formed) else 1
 
 
-def _emit(args, started: float, verdict, witness, lines: list[str]) -> None:
+def _jsonable(part):
+    """`json.dumps`'s hook: a term as text, a derivation as its dict, nested."""
+    if not isinstance(part, NsubDerivation):
+        return str(part)
+    return {name: list(map(_jsonable, value)) if name == "children" else value
+            for name in ("rule", "left", "right", "note", "children")
+            if (value := getattr(part, name))}
+
+
+def _emit(args, started: float, verdict, witness, lines: list) -> None:
+    """The one place an answer becomes text, all of it before any prints."""
     if args.json:
         doc = {"command": args.command, "verdict": verdict, "witness": witness,
                "timings": {"seconds": round(time.monotonic() - started, 6)}}
-        lines = [json.dumps(doc, indent=2)]
+        lines = [json.dumps(doc, indent=2, default=_jsonable)]
+    texts = []
+    for line in lines:  # a loop, not a helper: one frame less per level
+        if isinstance(line, NsubDerivation):
+            line = format_derivation(line)
+        texts.append("".join(map(str, line)) if type(line) is tuple else str(line))
     try:
-        for line in lines:
-            print(line)
+        for text in texts:
+            print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left: the rest, and the flush at exit, go to devnull.

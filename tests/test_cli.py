@@ -16,8 +16,9 @@ from importlib import resources
 import pytest
 
 from conftest import fixture_text
+import gen
 import mpst
-from mpst import cli
+from mpst import cli, printer
 from mpst.cli import main
 from mpst.errors import InternalError
 
@@ -45,7 +46,7 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_fresh(*argv):
+def run_fresh(*argv, timeout=None):
     """`python -m mpst` in a fresh interpreter, at the default recursion
     limit."""
     src = str(pathlib.Path(mpst.__file__).parent.parent)
@@ -54,7 +55,7 @@ def run_fresh(*argv):
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "mpst", *argv],
                           capture_output=True, encoding="utf-8", env=env,
-                          check=False)
+                          check=False, timeout=timeout)
 
 
 def invoke_json(*argv):
@@ -721,6 +722,94 @@ class TestReadmeCommands:
         golden = json.loads(README_GOLDEN.read_text(encoding="utf-8"))
         key = ("--json " if as_json else "") + command
         assert pinned_outcome(tmp_path, command, as_json) == golden[key]
+
+
+class TestEachPartPrintsOnce:
+    """A command prints each part of its answer at most once, and only in
+    the form asked for."""
+
+    @pytest.fixture
+    def record(self, monkeypatch):
+        """Record what `cli.<name>` returns and which terms `printer.show`
+        prints; returns (reports, shown)."""
+        reports, shown = {}, []
+        show = printer.show
+
+        def recording(term):
+            shown.append(term)
+            return show(term)
+
+        def capture(name):
+            call = getattr(cli, name)
+
+            def captured(*args):
+                reports[name] = call(*args)
+                return reports[name]
+            monkeypatch.setattr(cli, name, captured)
+
+        monkeypatch.setattr(printer, "show", recording)
+        for name in ("run_session", "stuck_search", "preciseness_check",
+                     "decide"):
+            capture(name)
+        return reports, shown
+
+    @staticmethod
+    def times(shown, term):
+        assert term is not None
+        return sum(t is term for t in shown)
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+    @pytest.mark.parametrize("command, call", [("run", "run_session"),
+                                               ("stuck", "stuck_search")])
+    def test_the_final_state_prints_once(self, record, command, call, flags):
+        reports, shown = record
+        assert invoke(*flags, command, "fixtures/adder_mismatch.mps")[0] == 1
+        assert self.times(shown, reports[call].state) == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+    def test_a_derivation_prints_once(self, record, flags):
+        reports, shown = record
+        assert invoke(*flags, "subtype", "fixtures/sec5_int.mpst",
+                      "fixtures/sec5_nat.mpst")[0] == 1
+        derivation = reports["decide"].derivation
+        assert self.times(shown, derivation.left) == 1
+        assert self.times(shown, derivation.right) == 1
+
+    @pytest.mark.parametrize("flags, stuck_state, session",
+                             [([], 1, 0), (["--json"], 0, 1)],
+                             ids=["plain", "json"])
+    def test_precise_prints_the_stuck_state_only_as_text(
+            self, record, flags, stuck_state, session):
+        reports, shown = record
+        assert invoke(*flags, "precise", "fixtures/ex2_T.mpst",
+                      "fixtures/ex2_Tp.mpst")[0] == 1
+        report = reports["preciseness_check"]
+        assert self.times(shown, report.stuck_state) == stuck_state
+        assert self.times(shown, report.session) == session
+        assert self.times(shown, report.derivation.left) == 1
+
+    def test_json_precise_ends_on_a_tree_sized_stuck_state(self, tmp_path):
+        # ROADMAP item 5's recipe, with tests/gen.py: T and T' are the pair
+        # kept at index 792.  The stuck state of T' against T has about
+        # 2.6e10 tree nodes, too many to print; the JSON document never
+        # prints it.
+        rng, kept = random.Random(7), []
+        while len(kept) <= 792:
+            t = gen.gen_type(rng, rng.randint(6, 9))
+            if len(mpst.show(t)) <= 4000:
+                kept.append((t, gen.gen_supertype(rng, t)))
+        texts = [mpst.show(t) for t in kept[792]]
+        assert [len(text) for text in texts] == [428, 3938]
+        for name, text in zip(("t.mpst", "tp.mpst"), texts):
+            (tmp_path / name).write_text(text)
+        done = run_fresh("--json", "precise", str(tmp_path / "tp.mpst"),
+                         str(tmp_path / "t.mpst"), timeout=60)
+        assert (done.returncode, done.stderr) == (1, "")
+        doc = json.loads(done.stdout)
+        assert doc["verdict"] == "nleq"
+        assert doc["witness"]["detail"] == (
+            "counterexample session got stuck after 3 steps")
+        assert len(doc["witness"]["session"]) == 133_380
 
 
 # Characters the grammar is made of, plus non-ASCII letters and digits.
