@@ -700,8 +700,7 @@ def pinned_outcome(tmp_path, command, as_json):
     """`mpst [--json] command` as (code, stdout, stderr), with the timing
     in a JSON document masked."""
     client = tmp_path / "my_client.proc"
-    if not client.exists():
-        client.write_text(invoke("char-proc", "fixtures/sec5_nat.mpst")[1])
+    client.write_text(invoke("char-proc", "fixtures/sec5_nat.mpst")[1])
     argv = [str(client) if a == client.name else a for a in command.split()]
     code, out, err = invoke(*(["--json"] if as_json else []), *argv)
     return [code, re.sub(r'"seconds": [^\n]*', '"seconds": "*"', out), err]
@@ -789,10 +788,10 @@ class TestEachPartPrintsOnce:
         assert self.times(shown, report.derivation.left) == 1
 
     def test_json_precise_ends_on_a_tree_sized_stuck_state(self, tmp_path):
-        # ROADMAP item 5's recipe, with tests/gen.py: T and T' are the pair
-        # kept at index 792.  The stuck state of T' against T has about
-        # 2.6e10 tree nodes, too many to print; the JSON document never
-        # prints it.
+        # T, of depth 6 to 9 and printing within 4 000 characters, and its
+        # drawn supertype T' are the 793rd such pair of the seeded stream.
+        # The stuck state of T' against T has about 2.6e10 tree nodes, too
+        # many to print; the JSON document never prints it.
         rng, kept = random.Random(7), []
         while len(kept) <= 792:
             t = gen.gen_type(rng, rng.randint(6, 9))
