@@ -109,11 +109,7 @@ def fresh_participant(*types: S.SessionType) -> str:
     taken = set()
     for t in types:
         taken |= S.participants_of(t)
-    for i in itertools.count():
-        name = f"_c{i}"
-        if name not in taken:
-            return name
-    raise AssertionError
+    return next(f"_c{i}" for i in itertools.count() if f"_c{i}" not in taken)
 
 
 def counterexample_session(t: S.SessionType, tp: S.SessionType,

@@ -3,7 +3,9 @@
 States are kept in a congruence-canonical form: recursion at the head of a
 process is unfolded, external choices are flattened and their summands sorted
 by printed form, terminated participants are dropped, and a lone sentinel
-entry stands in when everyone has terminated.  Input summands with distinct
+entry stands in when everyone has terminated.  A state is the sorted tuple
+of its (role, process) entries, its session's `parts`; only the states the
+runtime returns are built as sessions.  Input summands with distinct
 headers `partner?label(var).` sort by the headers alone, which is the same
 order, so their bodies are not printed.  Two congruent sessions map to the
 same canonical state, which is what lets the search deduplicate.  The
@@ -88,23 +90,25 @@ def _in_printed_order(flat: list) -> tuple:
     return tuple(sorted(flat, key=str))
 
 
-def _state(kept, changed) -> S.Session:
-    """The canonical session of the canonical entries `kept` and the
-    entries `changed`, which are canonicalised here: terminated ones drop
-    out, and the sentinel stands in when no entry is left.  The entries
-    come from a validated session, and reduction and canonicalisation name
-    no new participant, so the session is built without re-validating."""
+_DONE = (("_", S.Inact()),)  # the state in which everyone has terminated
+
+
+def _state(kept, changed) -> tuple:
+    """The canonical state of the canonical entries `kept` and the entries
+    `changed`, which are canonicalised here: terminated ones drop out.  The
+    state is the sorted tuple of the entries left, or `_DONE` when none is
+    left, so a state is terminated exactly when it is `_DONE`."""
     entries = list(kept)
     for role, proc in changed:
         cp = _canon_proc(proc)
         if not isinstance(cp, S.Inact):
             entries.append((role, cp))
-    return S.Session.trusted(entries or (("_", S.Inact()),))
+    return tuple(sorted(entries)) if entries else _DONE
 
 
 def canonicalize(m: S.Session) -> S.Session:
     """Normal form under structural congruence."""
-    return _state((), m.parts)
+    return S.Session(_state((), m.parts))
 
 
 def is_terminated(m: S.Session) -> bool:
@@ -119,14 +123,14 @@ def _values(e: S.Expr) -> list[tuple[str, S.Expr]]:
 
 def step_all(m: S.Session) -> list[tuple[Step, S.Session]]:
     """Every one-step successor of the canonical form of m."""
-    m = canonicalize(m)
-    return [(step, _successor(m, step, proc, summand))
-            for some in _moves(m, {}).values()
+    state = _state((), m.parts)
+    return [(step, S.Session(_successor(state, step, proc, summand)))
+            for some in _moves(state, {}).values()
             for step, proc, summand in some]
 
 
-def _moves(m: S.Session, cache: dict) -> dict[str, list]:
-    """The steps of the canonical state m, by source role, in trace order:
+def _moves(state: tuple, cache: dict) -> dict[str, list]:
+    """The steps of the canonical `state`, by source role, in trace order:
     each role that has a step maps to its steps as triples (step, proc,
     summand).  `proc` is what the step's source continues as (the
     conditional's branch, or the sender's continuation) and `summand` is
@@ -138,9 +142,9 @@ def _moves(m: S.Session, cache: dict) -> dict[str, list]:
     maps (role, id(proc), id(partner's proc)) to the two processes and the
     steps.  The entry holds the processes, so no id in a key is reused
     while the cache lives."""
-    mapping = dict(m.parts)
+    mapping = dict(state)
     out = {}
-    for role, proc in m.parts:
+    for role, proc in state:
         cls = proc.__class__
         if cls is S.Cond:
             other = None
@@ -191,14 +195,14 @@ def _role_moves(role: str, proc: S.Process, other: S.Process | None) -> list:
     return out
 
 
-def _successor(m: S.Session, step: Step, proc: S.Process,
-               summand: S.Input | None) -> S.Session:
-    """The state the move (step, proc, summand) of `_moves(m)` leads to."""
+def _successor(state: tuple, step: Step, proc: S.Process,
+               summand: S.Input | None) -> tuple:
+    """The state the move (step, proc, summand) of `_moves(state)` reaches."""
     changes = {step.source: proc}
     if summand is not None:
         changes[step.target] = S.subst(summand.body, S.Var(summand.var),
                                        step.value)
-    kept = [(r, p) for r, p in m.parts if r not in changes]
+    kept = [(r, p) for r, p in state if r not in changes]
     return _state(kept, changes.items())
 
 
@@ -209,16 +213,16 @@ def _partners(p: S.Process | None) -> list[str]:
             if isinstance(q, (S.Input, S.Output))]
 
 
-def _persistent(m: S.Session, moves: dict[str, list]) -> list:
+def _persistent(state: tuple, moves: dict[str, list]) -> list:
     """The moves of one partner-closed group of roles of the canonical
-    state m, given by source role in `moves`: a group starts from one role
+    `state`, given by source role in `moves`: a group starts from one role
     and adds the partners named by each member's head until no new one
     comes.  Of the groups grown from a role with moves, the one with the
     fewest moves is chosen, ties going to the first starting role in
     canonical order; its moves come in trace order."""
     if len(moves) == 1:
         return next(iter(moves.values()))
-    heads = dict(m.parts)
+    heads = dict(state)
     best = None
     for role in moves:
         group = {role}
@@ -282,7 +286,7 @@ def stuck_search(m: S.Session, fuel: int) -> StuckReport:
     """
     if not isinstance(fuel, int) or fuel <= 0:
         raise FuelMisuse(f"fuel must be a positive integer, got {fuel!r}")
-    start = canonicalize(m)
+    start = _state((), m.parts)
     number = {start: 0}  # each state found, by the order it was found in
     states = [start]
     links: list[tuple[int, Step] | None] = [None]  # how each was first reached
@@ -295,10 +299,11 @@ def stuck_search(m: S.Session, fuel: int) -> StuckReport:
             return StuckReport("diverged", explored=k)
         moves = _moves(state, cache)
         if not moves:
-            if is_terminated(state):
+            if state is _DONE:
                 edges.append([])
                 continue
-            return StuckReport("stuckFound", _trace_to(links, k), state, k + 1)
+            return StuckReport("stuckFound", _trace_to(links, k),
+                               S.Session(state), k + 1)
         succs = []
         for step, proc, summand in _persistent(state, moves):
             nxt = _successor(state, step, proc, summand)
@@ -349,15 +354,16 @@ def run(m: S.Session, fuel: int) -> StuckReport:
     taken and the state reached can still move."""
     if not isinstance(fuel, int) or fuel <= 0:
         raise FuelMisuse(f"fuel must be a positive integer, got {fuel!r}")
-    state = canonicalize(m)
+    state = _state((), m.parts)
     steps: list[Step] = []
     cache: dict = {}
     while True:
         moves = _moves(state, cache)
         if not moves or len(steps) == fuel:
             verdict = ("diverged" if moves else
-                       "terminated" if is_terminated(state) else "stuckFound")
-            return StuckReport(verdict, tuple(steps), state, len(steps))
+                       "terminated" if state is _DONE else "stuckFound")
+            return StuckReport(verdict, tuple(steps), S.Session(state),
+                               len(steps))
         step, proc, summand = min(
             (move for some in moves.values() for move in some),
             key=lambda move: move[0].line)

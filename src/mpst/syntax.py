@@ -99,7 +99,7 @@ def frozen(cls):
     cls._fields = fields = tuple(
         f for c in mro for f in vars(c).get("__annotations__", ()))
     cls._defaults = defaults = {**getattr(cls, "_defaults", {}), **defaults}
-    cls._caches = caches = tuple(
+    caches = tuple(
         n for c in mro for n in vars(c).get("__slots__", ()) if n not in fields)
     env = {f"set_{n}": getattr(cls, n).__set__ for n in fields + caches}
     env.update((f"default_{f}", v) for f, v in defaults.items())
@@ -397,7 +397,8 @@ def ext_choice(branches: Iterable["Process"]) -> "Process":
 
 @frozen
 class Session(_Shown):
-    """A parallel composition of located processes, keyed by participant."""
+    """A parallel composition of located processes, keyed by participant.
+    Its one constructor sorts the entries and checks them."""
 
     parts: tuple[tuple[str, "Process"], ...]
     # The subterms and participant names sit inside the (name, process)
@@ -420,17 +421,6 @@ class Session(_Shown):
 
     def mapping(self) -> dict[str, "Process"]:
         return dict(self.parts)
-
-    @classmethod
-    def trusted(cls, parts: Iterable[tuple[str, "Process"]]) -> "Session":
-        """The session of `parts`, sorted, without the checks of
-        `__post_init__`.  Only for entries known to keep its invariants,
-        such as the entries of a session a reduction step came from."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "parts", tuple(sorted(parts)))
-        for name in cls._caches:
-            object.__setattr__(m, name, None)
-        return m
 
 
 def _names_partner(proc: "Process", role: str) -> bool:

@@ -10,9 +10,10 @@ them), and process variables compare their binding against the goal by
 subtyping.
 
 Synthesis reconstructs a minimal type: input sorts are guessed largest-first
-(int, then bool, then nat, since input sorts are contravariant), outputs take
-the payload's inferred sort, and a conditional joins its arms either by
-regular-tree equality or as a union of outputs to one receiver.
+(int, then bool, then nat, since input sorts are contravariant), the sort of
+a variable the body does not read is int, outputs take the payload's
+inferred sort, and a conditional joins its arms either by regular-tree
+equality or as a union of outputs to one receiver.
 """
 
 from __future__ import annotations
@@ -138,7 +139,10 @@ def synthesize_process(gamma: dict, env: dict, p: S.Process,
         branches = []
         for q in parts:
             err = None
-            for sort in _INPUT_SORT_ORDER:
+            # A body that does not read the variable gets the same type, or
+            # fails with the same message, under every sort: try int alone.
+            read = S.Var(q.var) in S.free_vars(q.body)
+            for sort in _INPUT_SORT_ORDER if read else _INPUT_SORT_ORDER[:1]:
                 try:
                     cont = synthesize_process(gamma, {**env, q.var: sort},
                                               q.body, path + (q.label,))
@@ -192,11 +196,7 @@ def _fresh_tvar(gamma: dict) -> str:
     for t in gamma.values():
         if isinstance(t, S.TVar):
             used.add(t.name)
-    for i in itertools.count():
-        name = f"t{i}"
-        if name not in used:
-            return name
-    raise AssertionError
+    return next(f"t{i}" for i in itertools.count() if f"t{i}" not in used)
 
 
 def _join(a: S.SessionType, b: S.SessionType, path: tuple) -> S.SessionType:

@@ -34,7 +34,7 @@ _NESTING_LIMITS = [
     (("project", "chain.gt", "p"), 494),
     (("check-proc", "chain.mps", "chain.mpst"), 986),
     (("run", "pair.mps"), 985),
-    (("stuck", "pair.mps"), 494),
+    (("stuck", "pair.mps"), 495),
     (("check-session", "pair.mps", "chain.gt"), 493)]
 
 
@@ -280,6 +280,20 @@ class TestCheck:
             "[t-in-choice] at l1/l2:"
             " input choice from add against non-input type end\n"
         )
+
+    def test_unread_input_variables_are_synthesised_once(self, tmp_path):
+        # The goal does not mention label b, so that summand's type is
+        # synthesised.  Only y0 is read: the other 39 inputs try one sort
+        # each, where trying all three ran for 3^39 attempts.
+        source = tmp_path / "wide.proc"
+        source.write_text(
+            "p?a(x).0 + p?b(y0)." + "".join(f"p?c{i}(y{i})." for i in
+                                           range(1, 40))
+            + "if y0 then 0 else 0")
+        goal = tmp_path / "goal.mpst"
+        goal.write_text("p?a(nat).end")
+        done = run_fresh("check-proc", str(source), str(goal), timeout=10)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
     def test_check_session_ok(self):
         code, out, _ = invoke(

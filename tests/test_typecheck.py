@@ -21,6 +21,7 @@ from mpst import (
     synthesize_process,
 )
 from mpst import syntax as S
+from mpst import typecheck
 from mpst.syntax import subst
 
 P = parse_process
@@ -155,6 +156,29 @@ class TestSynthesize:
             "p?a(nat).p!c(nat).end")
         assert show(synthesize_process({}, {}, P("p?a(x).p!c(not x).0"))) == (
             "p?a(bool).p!c(bool).end")
+
+    def test_only_inputs_whose_variable_is_read_try_every_sort(
+            self, monkeypatch):
+        # x0 is read, so it tries int, which fails, then bool; the 39 inputs
+        # after it are not read and try int alone.  Trying every sort at
+        # every input would make about 3^40 calls: the budget stops them.
+        p = P("".join(f"p?l{i}(x{i})." for i in range(40))
+              + "if x0 then 0 else 0")
+        synthesize = typecheck.synthesize_process
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            if calls > 500:
+                raise AssertionError("over 500 synthesis calls")
+            return synthesize(*args)
+
+        monkeypatch.setattr(typecheck, "synthesize_process", counted)
+        t = counted({}, {}, p)
+        assert show(t) == "p?l0(bool)." + "".join(
+            f"p?l{i}(int)." for i in range(1, 40)) + "end"
+        assert calls == 82
 
     def test_join_failure_is_reported(self):
         with pytest.raises(TypingError) as exc:
