@@ -22,13 +22,15 @@ reduce to a genuinely stuck state.
 from __future__ import annotations
 
 import itertools
+from typing import TYPE_CHECKING
 
 from . import syntax as S
 from .errors import InternalError, ParticipantClash, ProjectionError
 from .global_types import project
-from .runtime import Step, stuck_search
-from .subtyping import NsubDerivation, decide
-from .typecheck import check_session
+
+if TYPE_CHECKING:  # annotations only: the search and the decision load late
+    from .runtime import Step
+    from .subtyping import NsubDerivation
 
 
 def char_global(t: S.SessionType, p: str) -> S.GlobalType:
@@ -155,6 +157,10 @@ class PrecisenessReport(S.Record):
 
 def preciseness_check(t: S.SessionType, tp: S.SessionType,
                       fuel: int = 10000) -> PrecisenessReport:
+    # Their one caller here, so `char_global` and `char_proc` never load them.
+    from .runtime import stuck_search
+    from .subtyping import decide
+    from .typecheck import check_session
     verdict = decide(t, tp)
     p = fresh_participant(t, tp)
     session = counterexample_session(t, tp, p)

@@ -4,6 +4,8 @@ Commands map one-to-one onto library operations: parse, subtype, project,
 check-proc, check-session, run, stuck, char-global, char-proc, precise.
 One table declares them, one loader parses their arguments, and one emitter
 prints each answer, returned unprinted, once and in the one form asked for.
+Each command imports the library module it calls when it runs, so a process
+loads only the modules its one command needs.
 
 Exit codes: 0 for positive verdicts (subtype holds, well typed, projection
 defined, terminated or safe), 1 for negative verdicts (refutation found, ill
@@ -37,16 +39,11 @@ import sys
 import time
 from importlib import resources
 
-from .characteristic import char_global, char_proc, preciseness_check
 from .errors import DuplicateLabel, FuelMisuse, MpstError, NumberTooLong, \
     ParseError, ParticipantClash, ProjectionError, SelfCommunication, \
     TypingError, UnguardedRecursion
-from .global_types import project
 from .parser import parse, parse_process, parse_session
-from .runtime import run as run_session, stuck_search
-from .subtyping import NsubDerivation, decide, format_derivation
 from .syntax import free_vars, participants_of
-from .typecheck import check_process, check_session
 
 _EXTENSION_CATEGORY = {".mpst": "sessiontype", ".gt": "globaltype",
                        ".mps": "session"}
@@ -131,6 +128,7 @@ def _parse(args):
 
 
 def _subtype(args):
+    from .subtyping import decide
     verdict = decide(args.left, args.right)
     if verdict.relation == "leq":
         return "leq", None, ["≤"], 0
@@ -138,6 +136,7 @@ def _subtype(args):
 
 
 def _project(args):
+    from .global_types import project
     if args.participant not in participants_of(args.file):
         print(f"note: {args.participant} is not a participant of "
               f"{args.given['file']}", file=sys.stderr)
@@ -148,9 +147,10 @@ def _project(args):
         return "undefined", witness, [e], 1
 
 
-def _typed(check, *terms):
+def _typed(check: str, *terms):
+    from . import typecheck
     try:
-        check(*terms)
+        getattr(typecheck, check)(*terms)
     except TypingError as e:
         witness = {"rule": e.rule, "path": list(e.path), "message": e.message}
         return "illTyped", witness, [e], 1
@@ -158,7 +158,8 @@ def _typed(check, *terms):
 
 
 def _run(args):
-    report = run_session(args.session, args.fuel)
+    from .runtime import run
+    report = run(args.session, args.fuel)
     trace = [step.line for step in report.trace]
     witness = {"trace": trace, "state": report.state, "steps": len(trace)}
     shown = trace if args.trace or report.verdict == "stuckFound" else []
@@ -167,6 +168,7 @@ def _run(args):
 
 
 def _stuck(args):
+    from .runtime import stuck_search
     report = stuck_search(args.session, args.fuel)
     trace = [step.line for step in report.trace]
     witness = {"trace": trace, "state": report.state, "explored": report.explored}
@@ -180,7 +182,18 @@ def _stuck(args):
     return report.verdict, witness, lines, int(negative)
 
 
+def _char_global(args):
+    from .characteristic import char_global
+    return _shown(char_global(args.type, args.participant))
+
+
+def _char_proc(args):
+    from .characteristic import char_proc
+    return _shown(char_proc(args.type))
+
+
 def _precise(args):
+    from .characteristic import preciseness_check
     report = preciseness_check(args.left, args.right, args.fuel)
     verdict = "inconclusive" if report.ok is None else report.relation
     witness = {
@@ -216,20 +229,20 @@ _COMMANDS = {
                 [("left", "closedtype"), ("right", "closedtype")], []),
     "project": (_project, "project a global type onto a role",
                 [("file", "globaltype"), ("participant", "participant")], []),
-    "check-proc": (lambda a: _typed(check_process, {}, {}, a.process, a.type),
+    "check-proc": (lambda a: _typed("check_process", {}, {}, a.process, a.type),
                    "check a process against a type",
                    [("process", "process"), ("type", "sessiontype")], []),
-    "check-session": (lambda a: _typed(check_session, a.session, a.globaltype),
+    "check-session": (lambda a: _typed("check_session", a.session, a.globaltype),
                       "check a session against a global type",
                       [("session", "session"), ("globaltype", "globaltype")], []),
     "run": (_run, "execute one reduction path", [("session", "session")],
             [_FUEL, ("--trace", {"action": "store_true"})]),
     "stuck": (_stuck, "search for a reachable stuck state",
               [("session", "session")], [_FUEL]),
-    "char-global": (lambda a: _shown(char_global(a.type, a.participant)),
+    "char-global": (_char_global,
                     "characteristic global type of a type at a role",
                     [("type", "sessiontype"), ("participant", "participant")], []),
-    "char-proc": (lambda a: _shown(char_proc(a.type)),
+    "char-proc": (_char_proc,
                   "characteristic process of a type",
                   [("type", "sessiontype")], []),
     "precise": (_precise, "exercise the preciseness property on a pair",
@@ -267,7 +280,8 @@ def _failure(e: Exception) -> tuple[str, int]:
 
 def _jsonable(part):
     """`json.dumps`'s hook: a term as text, a derivation as its dict, nested."""
-    if not isinstance(part, NsubDerivation):
+    subtyping = sys.modules.get("mpst.subtyping")  # as in `_emit`
+    if subtyping is None or not isinstance(part, subtyping.NsubDerivation):
         return str(part)
     return {name: list(map(_jsonable, value)) if name == "children" else value
             for name in ("rule", "left", "right", "note", "children")
@@ -281,9 +295,12 @@ def _emit(args, started: float, verdict, witness, lines: list) -> None:
                "timings": {"seconds": round(time.monotonic() - started, 6)}}
         lines = [json.dumps(doc, indent=2, default=_jsonable)]
     texts = []
+    # A derivation exists only once `subtyping` is loaded, so looking for
+    # one imports nothing.
+    subtyping = sys.modules.get("mpst.subtyping")
     for line in lines:  # a loop, not a helper: one frame less per level
-        if isinstance(line, NsubDerivation):
-            line = format_derivation(line)
+        if subtyping and isinstance(line, subtyping.NsubDerivation):
+            line = subtyping.format_derivation(line)
         texts.append("".join(map(str, line)) if type(line) is tuple else str(line))
     try:
         for text in texts:

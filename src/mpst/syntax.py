@@ -72,6 +72,8 @@ def __hash__(self):
 # An identifier is an ASCII Python identifier: [A-Za-z_][A-Za-z0-9_]*.
 _CHECK = """    if not ({f}.isascii() and {f}.isidentifier()):
         raise ValueError("bad {what}: " + repr({f}))"""
+# Each distinct `_METHODS` text, compiled once for the classes of its shape.
+_COMPILED = {}
 
 
 def frozen(cls):
@@ -110,13 +112,19 @@ def frozen(cls):
         sets.append("    post(self)")
     checks = [_CHECK.format(f=f, what=what)
               for f, what in getattr(cls, "_idents", {}).items()]
-    exec(_METHODS.format(
+    source = _METHODS.format(
         params=", ".join(f + f"=default_{f}" * (f in defaults) for f in fields),
         checks="\n".join(checks), sets="\n".join(sets),
         mine="".join(f"self.{f}, " for f in fields),
-        theirs="".join(f"other.{f}, " for f in fields)), env)
-    cls.__init__, cls.__eq__, cls.__hash__ = (
-        env["__init__"], env["__eq__"], env["__hash__"])
+        theirs="".join(f"other.{f}, " for f in fields))
+    if source not in _COMPILED:
+        _COMPILED[source] = compile(source, "<frozen>", "exec")
+    exec(_COMPILED[source], env)
+    for name in ("__init__", "__eq__", "__hash__"):
+        # Each class its own copy of the code: CPython specialises a code
+        # object to the types it meets, so sharing one slows every class.
+        env[name].__code__ = env[name].__code__.replace()
+        setattr(cls, name, env[name])
     if issubclass(cls, _Term):
         cut = len(fields) - len(cls._kids)
         assert fields[cut:] == cls._kids, f"{cls.__name__}: kids must come last"

@@ -18,7 +18,7 @@ import pytest
 from conftest import fixture_text
 import gen
 import mpst
-from mpst import cli, printer
+from mpst import characteristic, printer, runtime, subtyping
 from mpst.cli import main
 from mpst.errors import InternalError
 
@@ -46,16 +46,28 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def fresh_env():
+    """The environment of a child interpreter that imports this checkout's
+    mpst."""
+    src = str(pathlib.Path(mpst.__file__).parent.parent)
+    return {**os.environ, "PYTHONIOENCODING": "utf-8",
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_fresh(*argv, timeout=None):
     """`python -m mpst` in a fresh interpreter, at the default recursion
     limit."""
-    src = str(pathlib.Path(mpst.__file__).parent.parent)
-    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "mpst", *argv],
-                          capture_output=True, encoding="utf-8", env=env,
-                          check=False, timeout=timeout)
+                          capture_output=True, encoding="utf-8",
+                          env=fresh_env(), check=False, timeout=timeout)
+
+
+def run_code(code, *argv, cwd=None):
+    """`python -c code argv...` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
+                          capture_output=True, encoding="utf-8",
+                          env=fresh_env(), check=False)
 
 
 def invoke_json(*argv):
@@ -670,7 +682,7 @@ class TestJsonErrors:
         def broken(a, b):
             raise InternalError("boom")
 
-        monkeypatch.setattr(cli, "decide", broken)
+        monkeypatch.setattr(subtyping, "decide", broken)
         code, payload, err = invoke_json(
             "subtype", "fixtures/sec5_nat.mpst", "fixtures/sec5_int.mpst")
         assert code == 1
@@ -743,8 +755,9 @@ class TestEachPartPrintsOnce:
 
     @pytest.fixture
     def record(self, monkeypatch):
-        """Record what `cli.<name>` returns and which terms `printer.show`
-        prints; returns (reports, shown)."""
+        """Record what each library call a command makes returns, by its
+        name, and which terms `printer.show` prints; returns (reports,
+        shown)."""
         reports, shown = {}, []
         show = printer.show
 
@@ -752,18 +765,19 @@ class TestEachPartPrintsOnce:
             shown.append(term)
             return show(term)
 
-        def capture(name):
-            call = getattr(cli, name)
+        def capture(module, name):
+            call = getattr(module, name)
 
             def captured(*args):
                 reports[name] = call(*args)
                 return reports[name]
-            monkeypatch.setattr(cli, name, captured)
+            monkeypatch.setattr(module, name, captured)
 
         monkeypatch.setattr(printer, "show", recording)
-        for name in ("run_session", "stuck_search", "preciseness_check",
-                     "decide"):
-            capture(name)
+        for module, name in ((runtime, "run"), (runtime, "stuck_search"),
+                             (characteristic, "preciseness_check"),
+                             (subtyping, "decide")):
+            capture(module, name)
         return reports, shown
 
     @staticmethod
@@ -772,7 +786,7 @@ class TestEachPartPrintsOnce:
         return sum(t is term for t in shown)
 
     @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
-    @pytest.mark.parametrize("command, call", [("run", "run_session"),
+    @pytest.mark.parametrize("command, call", [("run", "run"),
                                                ("stuck", "stuck_search")])
     def test_the_final_state_prints_once(self, record, command, call, flags):
         reports, shown = record
@@ -889,6 +903,115 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     loaded = modules("import mpst.cli; ") - modules("pass; ")
     assert "mpst.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+# Every public name of `mpst`: its submodules, then the names they define.
+PUBLIC_NAMES = [
+    "characteristic", "errors", "exprs", "global_types", "parser", "printer",
+    "runtime", "subtyping", "syntax", "typecheck",
+    "PrecisenessReport", "char_global", "char_proc", "counterexample_session",
+    "fresh_participant", "preciseness_check",
+    "ConsumeUndefined", "DuplicateLabel", "FuelMisuse", "InternalError",
+    "MergeUndefined", "MpstError", "NotDerivable", "NumberTooLong",
+    "ParseError", "ParticipantClash", "ProjectionError", "SelfCommunication",
+    "TypingError", "UnguardedRecursion",
+    "eval_all", "infer_sort", "subsort",
+    "CommAction", "consume", "frontier_actions", "global_step", "merge",
+    "project", "project_all",
+    "parse", "parse_expr", "parse_global_type", "parse_process",
+    "parse_session", "parse_session_type",
+    "show",
+    "Step", "StuckReport", "canonicalize", "is_terminated", "run", "step_all",
+    "stuck_search",
+    "NsubDerivation", "Verdict", "decide", "format_derivation", "nsub", "sub",
+    "Branch", "GComm", "GEnd", "GRec", "GVar", "Session", "Sort", "TEnd",
+    "TIn", "TOut", "TRec", "TVar", "participants_of", "regular_tree_equal",
+    "unfold",
+    "check_process", "check_session", "synthesize_process",
+]
+
+# The modules every command loads, and the further ones each command needs.
+_ALWAYS_LOADED = {"mpst", "mpst.cli", "mpst.errors", "mpst.parser",
+                  "mpst.printer", "mpst.syntax"}
+_TYPING = {"typecheck", "subtyping", "global_types", "exprs"}
+_ALSO_LOADED = {
+    "parse": set(),
+    "subtype": {"subtyping", "exprs"},
+    "project": {"global_types"},
+    "check-proc": _TYPING,
+    "check-session": _TYPING,
+    "run": {"runtime", "exprs"},
+    "stuck": {"runtime", "exprs"},
+    "char-global": {"global_types", "characteristic"},
+    "char-proc": {"global_types", "characteristic"},
+    "precise": _TYPING | {"runtime", "characteristic"},
+}
+
+# Child code that prints, as its last line on stderr at exit, the `mpst`
+# modules it loaded; then the two ways a user runs a command.
+_REPORT_LOADED = (
+    "import atexit, sys; atexit.register(lambda: print('loaded:', *sorted("
+    "m for m in sys.modules if m.split('.')[0] == 'mpst'), file=sys.stderr)); ")
+_ENTRY_POINTS = {
+    "python -m mpst": "import runpy; runpy.run_module("
+                      "'mpst', run_name='__main__', alter_sys=True)",
+    "console script": "from mpst.cli import main; sys.exit(main())",
+}
+
+
+class TestImportGraph:
+    """A process loads only the modules its command runs, and the package
+    still exports every public name."""
+
+    def test_the_console_script_is_cli_main(self):
+        pyproject = pathlib.Path(mpst.__file__).parents[2] / "pyproject.toml"
+        assert 'mpst = "mpst.cli:main"' in pyproject.read_text().splitlines()
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("command", README_COMMANDS)
+    def test_each_command_loads_only_what_it_runs(self, tmp_path, entry,
+                                                  command):
+        client = tmp_path / "my_client.proc"
+        client.write_text(invoke("char-proc", "fixtures/sec5_nat.mpst")[1])
+        argv = command.split()
+        done = run_code(_REPORT_LOADED + _ENTRY_POINTS[entry],
+                         "--json", *argv, cwd=tmp_path)
+        expected = 1 if argv[0] in ("stuck", "precise") else 0
+        assert done.returncode == expected, done.stderr
+        assert json.loads(done.stdout)["command"] == argv[0]
+        loaded = done.stderr.splitlines()[-1].split()
+        assert loaded[0] == "loaded:"
+        assert set(loaded[1:]) == _ALWAYS_LOADED | {
+            f"mpst.{m}" for m in _ALSO_LOADED[argv[0]]}
+
+    def test_importing_mpst_loads_no_submodule(self):
+        done = run_code(_REPORT_LOADED + "import mpst")
+        assert (done.returncode, done.stderr) == (0, "loaded: mpst\n")
+
+    def test_every_public_name_loads_neither_dataclasses_nor_inspect(self):
+        done = run_code(
+            "from mpst import *; import sys; "
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        assert (done.returncode, done.stdout) == (0, "\n")
+
+    def test_all_is_unchanged(self):
+        assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 78
+        assert sorted(mpst.__all__) == sorted(PUBLIC_NAMES)
+        assert set(PUBLIC_NAMES) <= set(dir(mpst))
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from mpst import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(PUBLIC_NAMES)
+        for name, value in namespace.items():
+            assert value is getattr(mpst, name)
+        assert namespace["runtime"] is sys.modules["mpst.runtime"]
+        assert namespace["decide"] is sys.modules["mpst.subtyping"].decide
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mpst.no_such_name
 
 
 def test_every_module_compiles_with_warnings_as_errors():
