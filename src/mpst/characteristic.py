@@ -21,7 +21,6 @@ reduce to a genuinely stuck state.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 from . import syntax as S
@@ -108,10 +107,7 @@ def char_proc(t: S.SessionType) -> S.Process:
 
 
 def fresh_participant(*types: S.SessionType) -> str:
-    taken = set()
-    for t in types:
-        taken |= S.participants_of(t)
-    return next(f"_c{i}" for i in itertools.count() if f"_c{i}" not in taken)
+    return S.fresh_name("_c", set().union(*map(S.participants_of, types)))
 
 
 def counterexample_session(t: S.SessionType, tp: S.SessionType,

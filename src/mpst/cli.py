@@ -12,9 +12,9 @@ defined, terminated or safe), 1 for negative verdicts (refutation found, ill
 typed, stuck, fuel exhausted), 2 for usage errors and malformed input: parse
 errors (identifiers and numbers are ASCII; a participant argument parses as
 a participant, so a keyword is rejected), ill-formed terms (duplicate
-labels, self-communication, unguarded recursion), open session types given
-to subtype or precise, input that nests too deeply for the recursive
-procedures, and runs that compute a number too long to print.
+labels, self-communication, unguarded recursion as in mu X.(X + P)), open
+session types given to subtype or precise, input that nests too deeply for
+the recursive procedures, and runs that compute a number too long to print.
 
 `--json` renders the report as one JSON document with fields command,
 verdict, witness, timings; everything except timings is stable across runs.

@@ -38,12 +38,8 @@ from __future__ import annotations
 import re
 
 from . import syntax as S
+from .syntax import KEYWORDS, is_name
 from .errors import ParseError
-
-_KEYWORDS = {
-    "if", "then", "else", "mu", "end", "nat", "int", "bool",
-    "true", "false", "succ", "neg", "not",
-}
 
 # A token, a comment, or any other character that is not white space (an
 # error).  `findall` steps over the white space that no alternative matches.
@@ -88,10 +84,6 @@ def _position(src: str, index: int) -> tuple[int, int]:
     return src.count("\n", 0, start) + 1, start - src.rfind("\n", 0, start)
 
 
-def _is_name(tok: str) -> bool:
-    return tok.isidentifier() and tok not in _KEYWORDS
-
-
 class _Parser:
     def __init__(self, src: str):
         self.src = src
@@ -117,12 +109,12 @@ class _Parser:
 
     def eat(self, text: str) -> None:
         if self.toks[self.pos] != text:
-            self.fail(f"expected keyword {text!r}" if text in _KEYWORDS
+            self.fail(f"expected keyword {text!r}" if text in KEYWORDS
                       else f"expected {text!r}")
         self.pos += 1
 
     def ident(self, what: str) -> str:
-        if not _is_name(self.peek()):
+        if not is_name(self.peek()):
             self.fail(f"expected {what}")
         return self.next()
 
@@ -172,7 +164,7 @@ class _Parser:
             return _ATOMS[t]
         if t in _UNARY:
             return _UNARY[t](self.expr_unary())
-        if t.isidentifier() and t not in _KEYWORDS:
+        if t.isidentifier() and t not in KEYWORDS:
             return S.Var(t)
         if t.lstrip("-").isdigit():
             try:
@@ -222,14 +214,14 @@ class _Parser:
             p = self.process()
             self.eat(")")
             return p
-        if not name.isidentifier() or name in _KEYWORDS:
+        if not name.isidentifier() or name in KEYWORDS:
             self.fail("expected a process")
         op = toks[i + 1]
         if op == "?":
             label = toks[i + 2]
-            if not (label.isidentifier() and label not in _KEYWORDS
+            if not (label.isidentifier() and label not in KEYWORDS
                     and toks[i + 3] == "(" and (var := toks[i + 4]).isidentifier()
-                    and var not in _KEYWORDS and toks[i + 5] == ")"
+                    and var not in KEYWORDS and toks[i + 5] == ")"
                     and toks[i + 6] == "."):
                 self.pos = i + 2  # the checks again, in order, to report the first
                 self.label()
@@ -239,7 +231,7 @@ class _Parser:
             self.pos = i = i + 7
         elif op == "!":
             label = toks[i + 2]
-            if not (label.isidentifier() and label not in _KEYWORDS
+            if not (label.isidentifier() and label not in KEYWORDS
                     and toks[i + 3] == "("):
                 self.pos = i + 2
                 self.label()
@@ -269,7 +261,7 @@ class _Parser:
         while True:
             i = self.pos
             name = toks[i + 1] if toks[i] == "@" else ""
-            if not _is_name(name):
+            if not is_name(name):
                 self.eat("@")
                 self.ident("a participant")
             if name in entries:
@@ -323,14 +315,14 @@ class _Parser:
             t = self.session_type()
             self.eat(")")
             return t
-        if not name.isidentifier() or name in _KEYWORDS:
+        if not name.isidentifier() or name in KEYWORDS:
             self.fail("expected a session type")
         prefix = _PREFIXES.get(toks[i + 1])
         if prefix is None:
             self.pos = i + 1
             return S.TVar(name)
         label = toks[i + 2]
-        if not (label.isidentifier() and label not in _KEYWORDS
+        if not (label.isidentifier() and label not in KEYWORDS
                 and toks[i + 3] == "(" and (sort := _SORTS.get(toks[i + 4]))
                 and toks[i + 5] == ")"):
             self.pos = i + 2  # the checks again, in order, to report the first
@@ -365,7 +357,7 @@ class _Parser:
             g = self.global_type()
             self.eat(")")
             return g
-        if not _is_name(self.peek()):
+        if not is_name(self.peek()):
             self.fail("expected a global type")
         sender = self.next()
         if not self.accept("->"):

@@ -8,9 +8,11 @@ hashing it again is one lookup, whatever its depth.  Constructors enforce
 the well-formedness conditions the rest of the package relies on:
 
   * branch lists are non-empty, label-distinct and kept sorted by label;
-  * recursion is guarded (the bound variable cannot be reached from the
-    binder without crossing a communication prefix);
-  * nobody communicates with themselves (global types and session entries).
+  * recursion is guarded: a binder reaches its variable only across a
+    communication prefix or a conditional, so mu X.(X + P) is no term;
+  * nobody communicates with themselves (global types and session entries);
+  * every participant, label and variable is a name (`is_name`, the one
+    rule; `fresh_name` makes new ones), so the text of a term parses back.
 
 Every term class declares its shape once: which fields hold subterms, which
 name participants, and which variable class a binder binds.  A shape shared
@@ -32,6 +34,24 @@ from operator import attrgetter, lt
 from typing import Iterable, Union
 
 from .errors import DuplicateLabel, SelfCommunication, UnguardedRecursion
+
+
+# The words of the concrete syntax, which no name may be.
+KEYWORDS = frozenset("if then else mu end nat int bool true false succ neg not".split())
+
+
+def is_name(text: str) -> bool:
+    """Whether `text` may name a participant, a label or a variable: an
+    ASCII identifier that is not a keyword."""
+    return text.isascii() and text.isidentifier() and text not in KEYWORDS
+
+
+def fresh_name(stem: str, taken, first: int = 0) -> str:
+    """The first of stem + `first`, stem + `first + 1`, ... not in `taken`."""
+    i = first
+    while f"{stem}{i}" in taken:
+        i += 1
+    return f"{stem}{i}"
 
 
 class Sort(enum.Enum):
@@ -69,8 +89,8 @@ def __hash__(self):
         set__hash(self, h)
     return h
 """
-# An identifier is an ASCII Python identifier: [A-Za-z_][A-Za-z0-9_]*.
-_CHECK = """    if not ({f}.isascii() and {f}.isidentifier()):
+# `is_name`, inlined: an ASCII identifier, [A-Za-z_][A-Za-z0-9_]*, not a keyword.
+_CHECK = """    if not ({f}.isascii() and {f}.isidentifier()) or {f} in KEYWORDS:
         raise ValueError("bad {what}: " + repr({f}))"""
 # Each distinct `_METHODS` text, compiled once for the classes of its shape.
 _COMPILED = {}
@@ -85,9 +105,9 @@ def frozen(cls):
     its fields and no instance dict, as a plain class, so `isinstance`
     stays fast.  Three methods are compiled from one source, `_METHODS`,
     so that they run as fast as if written out: an `__init__` that checks
-    the fields named in `_idents` are identifiers, sets the fields, clears
-    every cached fact and runs `__post_init__`; an `__eq__` over the tuple
-    of its fields; and a `__hash__` of that same tuple, cached in
+    the fields named in `_idents` are names (`is_name`), sets the fields,
+    clears every cached fact and runs `__post_init__`; an `__eq__` over the
+    tuple of its fields; and a `__hash__` of that same tuple, cached in
     `_hash`.  A term class also gets its shape readers (see `_Term`), as
     plain getters: compiling them too would slow `import mpst`."""
     ns = dict(vars(cls))
@@ -104,6 +124,7 @@ def frozen(cls):
     caches = tuple(
         n for c in mro for n in vars(c).get("__slots__", ()) if n not in fields)
     env = {f"set_{n}": getattr(cls, n).__set__ for n in fields + caches}
+    env["KEYWORDS"] = KEYWORDS
     env.update((f"default_{f}", v) for f, v in defaults.items())
     sets = [f"    set_{n}(self, {n if n in fields else None})"
             for n in fields + caches]
@@ -185,8 +206,8 @@ class _Term(Record):
       _many   true when the one kid field holds a tuple of subterms;
       _names  the fields holding participant names;
       _binds  for a binder, the variable class its `var` field names;
-      _idents the fields the constructor checks are identifiers, each
-              with what it names in the message.
+      _idents the fields the constructor checks are names (`is_name`),
+              each with what it names in the message.
 
     From these `frozen` gives the class its readers `_children`, `_fixed`
     (the other fields) and `_roles`, which everything below goes through.
@@ -303,14 +324,20 @@ class _Mu(_Shown):
     _kids = ("body",)
 
     def __post_init__(self) -> None:
-        # mu t.t (also via nested binders, mu t.mu s.t) is not a term.
-        binders = {self.var}
-        node = self.body
-        while type(node) is type(self):
-            binders.add(node.var)
-            node = node.body
-        if type(node) is self._binds and node.name in binders:
-            raise UnguardedRecursion(f"mu {self.var} reaches {node.name} unguarded")
+        if _reaches(self, self.body):
+            raise UnguardedRecursion(f"mu {self.var} reaches {self.var} unguarded")
+
+
+def _reaches(binder: _Mu, node) -> bool:
+    """Whether `node` reaches the variable of `binder` through binders and
+    summands alone.  An inner binder has checked its own variable, and
+    shadows the variable of `binder` when it rebinds the name."""
+    var, cls = binder.var, type(binder)
+    while type(node) is cls and node.var != var:
+        node = node.body
+    if type(node) is ExtChoice:  # only a process has summands
+        return any(_reaches(binder, b) for b in node.branches)
+    return type(node) is binder._binds and node.name == var
 
 
 # --------------------------------------------------------------------------
@@ -422,7 +449,7 @@ class Session(_Shown):
             raise ValueError(f"duplicate participant in session: {names}")
         object.__setattr__(self, "parts", tuple(sorted(self.parts)))
         for p, proc in self.parts:
-            if not (p.isascii() and p.isidentifier()):
+            if not is_name(p):
                 raise ValueError(f"bad participant: {p!r}")
             if _names_partner(proc, p):
                 raise SelfCommunication(f"participant {p} communicates with itself")
@@ -660,10 +687,7 @@ def _subst(t, var, repl, done: dict):
     kind = t._binds
     if kind is not None and kind(t.var) in free_vars(repl):
         taken = {v.name for v in free_vars(repl) | free_vars(t.body) if type(v) is kind}
-        i = 1
-        while f"{t.var}_{i}" in taken:
-            i += 1
-        name = f"{t.var}_{i}"
+        name = fresh_name(t.var + "_", taken, 1)
         # A binder's `var` is its last field before the body.
         t = type(t)(*t._fixed(t)[:-1], name, subst(t.body, kind(t.var), kind(name)))
     kids = []

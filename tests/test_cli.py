@@ -539,6 +539,15 @@ class TestMalformedInput:
         code, _, err = self.parse_file(tmp_path, "loop.mpst", "mu t.t")
         assert code == 2
         assert err.startswith("error: UnguardedRecursion: ")
+        # A summand does not guard: no command reaches the runtime with it.
+        source = tmp_path / "choice.mps"
+        source.write_text("@p mu X.(X + q?l(x).0) || @q p!l(1).0")
+        message = "UnguardedRecursion: mu X reaches X unguarded"
+        for command in ("parse", "run", "stuck"):
+            assert invoke(command, str(source)) == (2, "", f"error: {message}\n")
+            code, payload, _ = invoke_json(command, str(source))
+            assert (code, payload) == (2, {"command": command, "verdict": "error",
+                                           "witness": {"message": message}})
 
     def test_self_communication_is_usage_error(self, tmp_path):
         code, _, err = self.parse_file(tmp_path, "self.gt",

@@ -342,10 +342,19 @@ class TestConstructorInvariants:
             parse_process("mu X.X")
         with pytest.raises(UnguardedRecursion):
             parse_global_type("mu t.t")
+        # A summand of an external choice does not guard, also behind an
+        # inner binder.
+        for src in ("mu X.(X + q?l(x).0)", "mu X.mu Y.X + q?l(x).0 + r?m(y).0"):
+            with pytest.raises(UnguardedRecursion) as exc:
+                parse_process(src)
+            assert str(exc.value) == "mu X reaches X unguarded"
 
     def test_guarded_recursion_accepted(self):
         t = parse_session_type("mu t.p!l(nat).t")
         assert isinstance(t, TRec)
+        # A conditional guards; a binder bounds only the summands below it.
+        for src in ("mu X.if true then X else 0", "mu X.((mu Y.q?l(x).Y) + Y)"):
+            assert isinstance(parse_process(src), S.Rec)
 
     def test_session_duplicate_participant_rejected(self):
         with pytest.raises(ValueError):
@@ -397,6 +406,31 @@ class TestConstructorInvariants:
             build()
         assert str(exc.value) == message
 
+    def test_no_identifier_field_takes_a_keyword(self):
+        # A keyword's text would not parse back as a name.
+        keywords = ("if", "then", "else", "mu", "end", "nat", "int", "bool",
+                    "true", "false", "succ", "neg", "not")
+        assert S.KEYWORDS == set(keywords)
+        roots = [parse_process("mu X.(q?l(x).q!m(x).X + q?n(y).0)"),
+                 parse_session_type("mu t.(p?l(nat).t & p?m(int).q!n(bool).end)"),
+                 parse_global_type("mu t.p -> q : l(nat).t")]
+        samples = {type(x): x for x in _values_below(roots)
+                   if getattr(x, "_idents", None)}
+        assert set(samples) == {c for c in _value_classes()
+                                if getattr(c, "_idents", None)}
+        assert len(samples) == 13
+        for cls, x in samples.items():
+            for field, what in cls._idents.items():
+                for kw in keywords:
+                    fields = {f: getattr(x, f) for f in declared_fields(cls)}
+                    with pytest.raises(ValueError) as exc:
+                        cls(**{**fields, field: kw})
+                    assert str(exc.value) == f"bad {what}: {kw!r}", cls
+        for kw in keywords:
+            with pytest.raises(ValueError) as exc:
+                Session(((kw, S.Inact()),))
+            assert str(exc.value) == f"bad participant: {kw!r}"
+
     def test_branches_stored_sorted(self):
         t = TIn("q", (Branch("l2", Sort.INT, TEnd()),
                       Branch("l1", Sort.NAT, TEnd())))
@@ -437,6 +471,43 @@ class TestRoundTrip:
                 parts.append((role, p))
             m = Session(tuple(parts))
             assert parse_session(show(m)) == m
+
+    def test_terms_the_library_builds_round_trip(self):
+        # Projections, characteristic terms, counterexample sessions,
+        # synthesised types and renamed binders mint names of their own
+        # (`_c0`, `t0`, `x_1`); each prints to text that parses back equal.
+        rng = random.Random(106)
+        built = {parse_session_type: [], parse_global_type: [],
+                 parse_process: [], parse_session: []}
+        for a, b in gen.refuted_pairs(rng, 30, 300):
+            built[parse_global_type].append(
+                mpst.char_global(a, mpst.fresh_participant(a)))
+            built[parse_process].append(char_proc(a))
+            built[parse_session].append(mpst.counterexample_session(a, b))
+        for _ in range(150):
+            try:
+                built[parse_session_type] += mpst.project_all(
+                    gen.gen_global(rng, 3)).values()
+            except mpst.ProjectionError:
+                pass
+            try:
+                built[parse_session_type].append(
+                    mpst.synthesize_process({}, {}, gen.gen_process(rng, 3)))
+            except mpst.TypingError:
+                pass
+            # t0 free under binders t1, t2, ...; x free under binders x, y, z.
+            t = gen.gen_type(rng, 4, _tvars={"t0": True})
+            built[parse_session_type].append(subst(t, TVar("t0"), TVar("t1")))
+            p = gen.gen_process(rng, 3, vars=("x",))
+            built[parse_process].append(subst(p, S.Var("x"), S.Var("y")))
+        texts = {read: [show(t) for t in terms] for read, terms in built.items()}
+        assert any("_c0" in text for text in texts[parse_session])
+        assert any("mu t0." in text for text in texts[parse_session_type])
+        assert any("mu t1_1." in text for text in texts[parse_session_type])
+        assert any("(y_1)." in text for text in texts[parse_process])
+        for read, terms in built.items():
+            for t, text in zip(terms, texts[read]):
+                assert read(text) == t, text
 
 
 class TestHelpers:
