@@ -748,6 +748,14 @@ class TestImmutableValues:
                                         if f not in cls._kids), cls
             assert x._roles(x) == tuple(getattr(x, f) for f in cls._names), cls
 
+    def test_str_of_a_term_is_its_printed_text(self):
+        # A branch has no text of its own: its str is its repr.
+        for x in _values_below(self.samples()):
+            if isinstance(x, Branch):
+                assert str(x) == repr(x)
+            elif isinstance(x, S._Term):
+                assert str(x) == show(x), type(x)
+
     def test_repr_names_every_declared_field(self):
         b = Branch("l", Sort.NAT, TEnd())
         assert repr(b) == (
