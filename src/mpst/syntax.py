@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import sys
-from operator import attrgetter, lt
+from operator import attrgetter
 from typing import Iterable, Union
 
 from .errors import DuplicateLabel, SelfCommunication, UnguardedRecursion
@@ -100,10 +100,10 @@ def frozen(cls):
     """The class-building step of every immutable value in the package: the
     term nodes here and the result records of other modules, subclasses of
     `Record`.  A class declares its fields as annotations, with defaults
-    where it has them, and its bases name the slots of facts cached on an
-    instance in `__slots__`.  The class is created again with slots for
-    its fields and no instance dict, as a plain class, so `isinstance`
-    stays fast.  Three methods are compiled from one source, `_METHODS`,
+    where it has them; it and its bases may name in `__slots__` the slots
+    of facts cached on an instance, beside the fields.  The class is created
+    again with slots for both and no instance dict, as a plain class, so
+    `isinstance` stays fast.  Three methods are compiled from one source, `_METHODS`,
     so that they run as fast as if written out: an `__init__` that checks
     the fields named in `_idents` are names (`is_name`), sets the fields,
     clears every cached fact and runs `__post_init__`; an `__eq__` over the
@@ -113,9 +113,9 @@ def frozen(cls):
     ns = dict(vars(cls))
     own = tuple(ns.get("__annotations__", ()))
     defaults = {f: ns.pop(f) for f in own if f in ns}
-    for name in ("__dict__", "__weakref__"):
+    ns["__slots__"] = slots = (*ns.get("__slots__", ()), *own)
+    for name in (*slots, "__dict__", "__weakref__"):
         ns.pop(name, None)
-    ns["__slots__"] = own
     cls = type(cls.__name__, cls.__bases__, ns)
     mro = cls.__mro__[::-1]
     cls._fields = fields = tuple(
@@ -233,18 +233,12 @@ class _Term(Record):
     _names = ()
     _binds = None
 
-
-class _Shown(_Term):
-    """Mixin routing str() through the canonical pretty printer."""
-
-    __slots__ = ()
-
     def __str__(self) -> str:
         return printer.show(self)
 
 
 @frozen
-class _Variable(_Shown):
+class _Variable(_Term):
     """A variable occurrence.  Each category has its own variable class, so
     equal names in different categories are different variables."""
 
@@ -263,37 +257,37 @@ class Var(_Variable):
 
 
 @frozen
-class Num(_Shown):
+class Num(_Term):
     """A number literal: of sort nat when `value >= 0`, else of sort int."""
 
     value: int
 
 
 @frozen
-class BoolLit(_Shown):
+class BoolLit(_Term):
     value: bool
 
 
 @frozen
-class Succ(_Shown):
+class Succ(_Term):
     arg: "Expr"
     _kids = ("arg",)
 
 
 @frozen
-class Neg(_Shown):
+class Neg(_Term):
     arg: "Expr"
     _kids = ("arg",)
 
 
 @frozen
-class Not(_Shown):
+class Not(_Term):
     arg: "Expr"
     _kids = ("arg",)
 
 
 @frozen
-class Choice(_Shown):
+class Choice(_Term):
     """Nondeterministic choice between two expressions."""
 
     left: "Expr"
@@ -302,7 +296,7 @@ class Choice(_Shown):
 
 
 @frozen
-class Gt(_Shown):
+class Gt(_Term):
     left: "Expr"
     right: "Expr"
     _kids = ("left", "right")
@@ -316,11 +310,14 @@ Expr = Union[Var, Num, BoolLit, Succ, Neg, Not, Choice, Gt]
 # --------------------------------------------------------------------------
 
 
-class _Mu(_Shown):
-    """The recursion binders Rec, TRec and GRec: fields `var` and `body`.
-    A binder caches its one-step unfolding in `_unfolded` (see `unfold`)."""
+@frozen
+class _Mu(_Term):
+    """The recursion binders Rec, TRec and GRec.  A binder caches its
+    one-step unfolding in `_unfolded` (see `unfold`)."""
 
     __slots__ = ("_unfolded",)
+    var: str
+    body: "Process | SessionType | GlobalType"
     _kids = ("body",)
 
     def __post_init__(self) -> None:
@@ -346,7 +343,7 @@ def _reaches(binder: _Mu, node) -> bool:
 
 
 @frozen
-class Input(_Shown):
+class Input(_Term):
     partner: str
     label: str
     var: str
@@ -358,7 +355,7 @@ class Input(_Shown):
 
 
 @frozen
-class Output(_Shown):
+class Output(_Term):
     partner: str
     label: str
     payload: Expr
@@ -369,7 +366,7 @@ class Output(_Shown):
 
 
 @frozen
-class ExtChoice(_Shown):
+class ExtChoice(_Term):
     """External choice.  Kept flat: no branch is itself an ExtChoice."""
 
     branches: tuple["Process", ...]
@@ -384,7 +381,7 @@ class ExtChoice(_Shown):
 
 
 @frozen
-class Cond(_Shown):
+class Cond(_Term):
     guard: Expr
     then: "Process"
     orelse: "Process"
@@ -398,14 +395,12 @@ class ProcVar(_Variable):
 
 @frozen
 class Rec(_Mu):
-    var: str
-    body: "Process"
     _binds = ProcVar
     _idents = {"var": "process variable"}
 
 
 @frozen
-class Inact(_Shown):
+class Inact(_Term):
     pass
 
 
@@ -431,7 +426,7 @@ def ext_choice(branches: Iterable["Process"]) -> "Process":
 
 
 @frozen
-class Session(_Shown):
+class Session(_Term):
     """A parallel composition of located processes, keyed by participant.
     Its one constructor sorts the entries and checks them."""
 
@@ -498,6 +493,7 @@ class Branch(_Term):
     cont: "SessionType | GlobalType"
     _kids = ("cont",)
     _idents = {"label": "label"}
+    __str__ = object.__str__  # no text of its own: its repr
 
 
 _label = attrgetter("label")
@@ -507,15 +503,13 @@ def _sorted_branches(branches: tuple, what: str) -> tuple:
     if not branches:
         raise ValueError(f"{what} needs at least one branch")
     labels = tuple(map(_label, branches))
-    if all(map(lt, labels, labels[1:])):  # sorted and distinct already
-        return tuple(branches)
     if len(set(labels)) != len(labels):
         raise DuplicateLabel(f"{what} repeats a label: {sorted(labels)}")
     return tuple(sorted(branches, key=_label))
 
 
 @frozen
-class _Prefixes(_Shown):
+class _Prefixes(_Term):
     """An intersection or a union: branches that all have one partner.  Each
     subclass names itself in `_junction`, for error messages."""
 
@@ -553,14 +547,12 @@ class TVar(_Variable):
 
 @frozen
 class TRec(_Mu):
-    var: str
-    body: "SessionType"
     _binds = TVar
     _idents = {"var": "type variable"}
 
 
 @frozen
-class TEnd(_Shown):
+class TEnd(_Term):
     pass
 
 
@@ -573,7 +565,7 @@ SessionType = Union[TIn, TOut, TRec, TVar, TEnd]
 
 
 @frozen
-class GComm(_Shown):
+class GComm(_Term):
     sender: str
     receiver: str
     branches: tuple[Branch, ...]
@@ -595,14 +587,12 @@ class GVar(_Variable):
 
 @frozen
 class GRec(_Mu):
-    var: str
-    body: "GlobalType"
     _binds = GVar
     _idents = {"var": "type variable"}
 
 
 @frozen
-class GEnd(_Shown):
+class GEnd(_Term):
     pass
 
 
@@ -631,9 +621,7 @@ def free_vars(t) -> frozenset:
     if found is None:
         found = frozenset((t,)) if isinstance(t, _Variable) else frozenset()
         for c in t._children(t):
-            more = c._free
-            if more is None:
-                more = free_vars(c)
+            more = free_vars(c)
             if more:
                 found = found | more if found else more
         if found and t._binds is not None:
@@ -673,9 +661,7 @@ def _subst(t, var, repl, done: dict):
     """subst, with `done` mapping id(node) to the node and its result for
     the nodes substituted so far in this call; holding the node keeps its
     id from being reused while `done` lives."""
-    free = t._free
-    if free is None:
-        free = free_vars(t)
+    free = free_vars(t)
     if not free or var not in free:
         return t
     if type(t) is type(var):

@@ -138,6 +138,23 @@ class TestParsing:
         t = parse_session_type("p?a(nat).end & p?b(nat).end & p?c(nat).end")
         assert (len(t.branches), len(built)) == (3, 1)
 
+    def test_a_recursion_or_conditional_continuation_extends_maximally(self):
+        # After '.', mu (and if, in a process) takes in the rest of the
+        # junction or sum; the printer parenthesises it.
+        t = parse_session_type("q!l(nat).mu t.q!m(nat).t \\/ q!k(nat).end")
+        assert t == parse_session_type(
+            "q!l(nat).(mu t.q!m(nat).t \\/ q!k(nat).end)")
+        with pytest.raises(ParseError) as exc:
+            parse_session_type("q?l(nat).mu t.q!m(nat).t & q?k(int).end")
+        assert str(exc.value) == (
+            "1:15: every member of an intersection must be an input prefix")
+        p = parse_process("p?l(x).if x then 0 else q!m(1).0 + r?n(y).0")
+        assert p == parse_process(
+            "p?l(x).(if x then 0 else (q!m(1).0 + r?n(y).0))")
+        assert show(p) == "p?l(x).(if x then 0 else q!m(1).0 + r?n(y).0)"
+        p = parse_process("p?l(x).mu X.q!m(1).X + r?n(y).0")
+        assert show(p) == "p?l(x).(mu X.q!m(1).X + r?n(y).0)"
+
     def test_missing_continuation_defaults_to_end(self):
         assert parse_session_type("p?l(nat)") == parse_session_type("p?l(nat).end")
 
