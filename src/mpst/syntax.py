@@ -101,15 +101,16 @@ def frozen(cls):
     term nodes here and the result records of other modules, subclasses of
     `Record`.  A class declares its fields as annotations, with defaults
     where it has them; it and its bases may name in `__slots__` the slots
-    of facts cached on an instance, beside the fields.  The class is created
-    again with slots for both and no instance dict, as a plain class, so
-    `isinstance` stays fast.  Three methods are compiled from one source, `_METHODS`,
-    so that they run as fast as if written out: an `__init__` that checks
-    the fields named in `_idents` are names (`is_name`), sets the fields,
-    clears every cached fact and runs `__post_init__`; an `__eq__` over the
-    tuple of its fields; and a `__hash__` of that same tuple, cached in
-    `_hash`.  A term class also gets its shape readers (see `_Term`), as
-    plain getters: compiling them too would slow `import mpst`."""
+    of facts cached on an instance, beside the fields.  The class is
+    created again with slots for both and no instance dict, as a plain
+    class, so `isinstance` stays fast.  Three methods are compiled from one
+    source, `_METHODS`, so that they run as fast as if written out: an
+    `__init__` that checks the fields named in `_idents` are names
+    (`is_name`), sets the fields, clears every cached fact and runs
+    `__post_init__`; an `__eq__` over the tuple of its fields; and a
+    `__hash__` of that same tuple, cached in `_hash`.  A term class also
+    gets its shape readers (see `_Term`), as plain getters: compiling them
+    too would slow `import mpst`."""
     ns = dict(vars(cls))
     own = tuple(ns.get("__annotations__", ()))
     defaults = {f: ns.pop(f) for f in own if f in ns}

@@ -138,22 +138,21 @@ class TestParsing:
         t = parse_session_type("p?a(nat).end & p?b(nat).end & p?c(nat).end")
         assert (len(t.branches), len(built)) == (3, 1)
 
-    def test_a_recursion_or_conditional_continuation_extends_maximally(self):
+    @pytest.mark.parametrize("category, src, parenthesised", [
+        ("sessiontype", "q!l(nat).mu t.q!m(nat).t \\/ q!k(nat).end",
+         "q!l(nat).(mu t.q!m(nat).t \\/ q!k(nat).end)"),
+        ("process", "p?l(x).if x then 0 else q!m(1).0 + r?n(y).0",
+         "p?l(x).(if x then 0 else (q!m(1).0 + r?n(y).0))"),
+        ("process", "p?l(x).mu X.q!m(1).X + r?n(y).0",
+         "p?l(x).(mu X.(q!m(1).X + r?n(y).0))"),
+    ])
+    def test_a_recursion_or_conditional_continuation_extends_maximally(
+            self, category, src, parenthesised):
         # After '.', mu (and if, in a process) takes in the rest of the
-        # junction or sum; the printer parenthesises it.
-        t = parse_session_type("q!l(nat).mu t.q!m(nat).t \\/ q!k(nat).end")
-        assert t == parse_session_type(
-            "q!l(nat).(mu t.q!m(nat).t \\/ q!k(nat).end)")
-        with pytest.raises(ParseError) as exc:
-            parse_session_type("q?l(nat).mu t.q!m(nat).t & q?k(int).end")
-        assert str(exc.value) == (
-            "1:15: every member of an intersection must be an input prefix")
-        p = parse_process("p?l(x).if x then 0 else q!m(1).0 + r?n(y).0")
-        assert p == parse_process(
-            "p?l(x).(if x then 0 else (q!m(1).0 + r?n(y).0))")
-        assert show(p) == "p?l(x).(if x then 0 else q!m(1).0 + r?n(y).0)"
-        p = parse_process("p?l(x).mu X.q!m(1).X + r?n(y).0")
-        assert show(p) == "p?l(x).(mu X.q!m(1).X + r?n(y).0)"
+        # junction or sum, and the printed text reads back as the same term.
+        term = parse(src, category)
+        assert term == parse(parenthesised, category)
+        assert parse(show(term), category) == term
 
     def test_missing_continuation_defaults_to_end(self):
         assert parse_session_type("p?l(nat)") == parse_session_type("p?l(nat).end")
@@ -194,6 +193,8 @@ class TestParsing:
          "2:16: cannot mix '&' and '\\/' without parentheses, got '\\\\/'"),
         ("sessiontype", "mu t.p?a(nat).end & p!b(nat).end",
          "1:6: every member of an intersection must be an input prefix"),
+        ("sessiontype", "q?l(nat).mu t.q!m(nat).t & q?k(int).end",
+         "1:15: every member of an intersection must be an input prefix"),
         ("sessiontype", "(p!a(nat).end \\/ p?b(nat).end)",
          "1:2: every member of a union must be an output prefix"),
         ("sessiontype", "p?a(nat).end & q?b(nat).end",
