@@ -28,6 +28,8 @@ from mpst import (
     sub,
 )
 from mpst.errors import TypingError
+from mpst.runtime import Step, StuckReport
+from mpst.subtyping import format_derivation
 
 T = parse_session_type
 
@@ -203,6 +205,59 @@ class TestPreciseness:
         assert report.relation == relation
         assert report.ok is None
         assert report.detail.startswith("fuel exhausted after 1 states")
+
+    @pytest.mark.parametrize("left, right, outcome, ok, detail", [
+        ("sec5_nat.mpst", "sec5_int.mpst", "stuckFound", False,
+         "soundness violated: subtype substitution got stuck"),
+        ("sec5_nat.mpst", "sec5_int.mpst", "diverged", None,
+         "fuel exhausted after 3 states; no stuck state found so far"),
+        ("sec5_nat.mpst", "sec5_int.mpst", "terminated", True,
+         "substituted session is safe (terminated, 3 states)"),
+        ("sec5_nat.mpst", "sec5_int.mpst", "noStuckWithinFuel", True,
+         "substituted session is safe (noStuckWithinFuel, 3 states)"),
+        ("sec5_int.mpst", "sec5_nat.mpst", "stuckFound", True,
+         "counterexample session got stuck after 1 steps"),
+        ("sec5_int.mpst", "sec5_nat.mpst", "diverged", None,
+         "fuel exhausted after 3 states without finding the stuck state"),
+        ("sec5_int.mpst", "sec5_nat.mpst", "terminated", False,
+         "completeness violated: counterexample session reported terminated"),
+        ("sec5_int.mpst", "sec5_nat.mpst", "noStuckWithinFuel", False,
+         "completeness violated: counterexample session reported "
+         "noStuckWithinFuel"),
+    ])
+    def test_every_search_verdict_has_its_report(self, monkeypatch, left,
+                                                 right, outcome, ok, detail):
+        # Every verdict of the search, whether or not the real search can
+        # give it for the pair, maps to one report; only stuckFound carries
+        # a trace and a state, as in `stuck_search`.
+        searched = []
+
+        def search(m, fuel):
+            searched.append(m)
+            if outcome != "stuckFound":
+                return StuckReport(outcome, explored=3)
+            return StuckReport(outcome, (Step("r-comm", "a -> b: l(5)"),), m, 3)
+
+        monkeypatch.setattr("mpst.runtime.stuck_search", search)
+        t, tp = T(fixture_text(left)), T(fixture_text(right))
+        report = preciseness_check(t, tp, fuel=7)
+        [session] = searched
+        assert show(session) == show(counterexample_session(t, tp))
+        leq = left == "sec5_nat.mpst"
+        assert report.relation == ("leq" if leq else "nleq")
+        assert report.ok is ok
+        assert report.detail == detail
+        stuck = outcome == "stuckFound"
+        assert report.trace == ((Step("r-comm", "a -> b: l(5)"),) if stuck else ())
+        assert report.stuck_state is (session if stuck else None)
+        assert report.session is (None if leq else session)
+        if leq:
+            assert report.derivation is None
+        else:
+            assert format_derivation(report.derivation) == (
+                "[nsub-out-out] add!l1(int).add!l2(int).add?l3(int).end !<= "
+                "add!l1(nat).add!l2(nat).add?l3(int).end  "
+                "(sort int is not a subsort of nat)")
 
     def test_projection_failure_is_an_internal_error(self, monkeypatch):
         def fail(g, role):

@@ -1,6 +1,7 @@
 """Subtyping: the coinductive checker, the inductive negation, and decide."""
 
 import hashlib
+import json
 import random
 import sys
 from importlib import resources
@@ -20,6 +21,7 @@ from mpst import (
     sub,
     unfold,
 )
+from mpst import cli
 from mpst import syntax as S
 
 T = parse_session_type
@@ -422,14 +424,29 @@ class TestDerivationChecker:
 
 
 def test_verdicts_and_derivations_on_the_criterion_5_stream():
-    """A golden digest of `sub`'s verdict and `nsub`'s rendered derivation
-    (or "≤") on the first 2 000 pairs of criterion 5's stream."""
+    """Golden digests of `sub`'s verdict and `nsub`'s rendered derivation
+    (or "≤") on the first 2 000 pairs of criterion 5's stream, and of the
+    `--json` witness of each refuted pair.  That witness keeps the key
+    order of a derivation's fields only because no node has both a note
+    and children: notes appear only on leaves."""
     digest = hashlib.sha256()
+    as_json = hashlib.sha256()
     for a, b in gen.subtype_pairs(random.Random(20260816), 2000):
         try:
-            text = format_derivation(nsub(a, b))
+            d = nsub(a, b)
         except NotDerivable:
             text = "≤"
+        else:
+            text = format_derivation(d)
+            as_json.update(json.dumps(d, indent=2,
+                                      default=cli._jsonable).encode())
+            nodes = [d]
+            while nodes:
+                node = nodes.pop()
+                assert not (node.note and node.children), text
+                nodes.extend(node.children)
         digest.update(f"{sub(a, b)}\n{text}\n\n".encode())
     assert digest.hexdigest() == (
         "e3364eb5fecd71b06744f63bd4df37b902490bca8a6a30f347aea862478f2da0")
+    assert as_json.hexdigest() == (
+        "02647135c95318f912955aa39b1669e3e945a546841e426e29ea56cf34d3e6ab")
