@@ -151,6 +151,24 @@ class PrecisenessReport(S.Record):
     session: S.Session | None = None
 
 
+# What a verdict of the stuck search means for a decided pair: whether
+# preciseness holds (None: the fuel ran out first) and the detail.
+_SAFE = True, "substituted session is safe ({verdict}, {explored} states)"
+_MISSED = False, "completeness violated: counterexample session reported {verdict}"
+_PRECISENESS = {
+    ("leq", "stuckFound"): (False, "soundness violated: subtype substitution "
+                                   "got stuck"),
+    ("leq", "diverged"): (None, "fuel exhausted after {explored} states; "
+                                "no stuck state found so far"),
+    ("leq", "terminated"): _SAFE, ("leq", "noStuckWithinFuel"): _SAFE,
+    ("nleq", "stuckFound"): (True, "counterexample session got stuck after "
+                                   "{steps} steps"),
+    ("nleq", "diverged"): (None, "fuel exhausted after {explored} states "
+                                 "without finding the stuck state"),
+    ("nleq", "terminated"): _MISSED, ("nleq", "noStuckWithinFuel"): _MISSED,
+}
+
+
 def preciseness_check(t: S.SessionType, tp: S.SessionType,
                       fuel: int = 10000) -> PrecisenessReport:
     # Their one caller here, so `char_global` and `char_proc` never load them.
@@ -160,38 +178,15 @@ def preciseness_check(t: S.SessionType, tp: S.SessionType,
     verdict = decide(t, tp)
     p = fresh_participant(t, tp)
     session = counterexample_session(t, tp, p)
-
-    if verdict.relation == "leq":
+    leq = verdict.relation == "leq"
+    if leq:
         typed = {**session.mapping(), p: char_proc(tp)}
         check_session(S.Session(tuple(typed.items())), char_global(tp, p))
-        report = stuck_search(session, fuel)
-        if report.verdict == "stuckFound":
-            return PrecisenessReport(
-                "leq", False,
-                "soundness violated: subtype substitution got stuck",
-                report.trace, None, report.state)
-        if report.verdict == "diverged":
-            return PrecisenessReport(
-                "leq", None,
-                f"fuel exhausted after {report.explored} states; "
-                "no stuck state found so far")
-        return PrecisenessReport(
-            "leq", True,
-            f"substituted session is safe ({report.verdict}, "
-            f"{report.explored} states)")
-
     report = stuck_search(session, fuel)
-    if report.verdict == "stuckFound":
-        return PrecisenessReport(
-            "nleq", True,
-            f"counterexample session got stuck after {len(report.trace)} "
-            "steps", report.trace, verdict.derivation, report.state, session)
-    if report.verdict == "diverged":
-        return PrecisenessReport(
-            "nleq", None,
-            f"fuel exhausted after {report.explored} states without "
-            "finding the stuck state", (), verdict.derivation, None, session)
-    return PrecisenessReport(
-        "nleq", False,
-        f"completeness violated: counterexample session reported "
-        f"{report.verdict}", (), verdict.derivation, None, session)
+    ok, detail = _PRECISENESS[verdict.relation, report.verdict]
+    detail = detail.format(verdict=report.verdict, explored=report.explored,
+                           steps=len(report.trace))
+    # Only a stuckFound search has a trace and a state.
+    return PrecisenessReport(verdict.relation, ok, detail, report.trace,
+                             verdict.derivation, report.state,
+                             None if leq else session)

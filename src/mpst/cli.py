@@ -37,13 +37,12 @@ import os
 import pathlib
 import sys
 import time
-from importlib import resources
 
 from .errors import DuplicateLabel, FuelMisuse, MpstError, NumberTooLong, \
     ParseError, ParticipantClash, ProjectionError, SelfCommunication, \
     TypingError, UnguardedRecursion
 from .parser import parse, parse_process, parse_session
-from .syntax import free_vars, participants_of
+from .syntax import Record, _Term, free_vars, participants_of
 
 _EXTENSION_CATEGORY = {".mpst": "sessiontype", ".gt": "globaltype",
                        ".mps": "session"}
@@ -64,6 +63,8 @@ def _read_source(path: str) -> str:
             path = os.path.join(override, rest)
             source = pathlib.Path(path)
         else:
+            # Loaded here: on CPython 3.12 and later it imports `inspect`.
+            from importlib import resources
             source = resources.files("mpst").joinpath("fixtures", rest)
             packaged = rest
     missing = (FileNotFoundError, ModuleNotFoundError) if packaged is not None else ()
@@ -279,13 +280,13 @@ def _failure(e: Exception) -> tuple[str, int]:
 
 
 def _jsonable(part):
-    """`json.dumps`'s hook: a term as text, a derivation as its dict, nested."""
-    subtyping = sys.modules.get("mpst.subtyping")  # as in `_emit`
-    if subtyping is None or not isinstance(part, subtyping.NsubDerivation):
-        return str(part)
-    return {name: list(map(_jsonable, value)) if name == "children" else value
-            for name in ("rule", "left", "right", "note", "children")
-            if (value := getattr(part, name))}
+    """`json.dumps`'s hook: a record that is not a term, such as a
+    derivation, as the dict of its non-empty fields in field order; anything
+    else, a term included, as its text."""
+    if isinstance(part, Record) and not isinstance(part, _Term):
+        return {name: value for name in part._fields
+                if (value := getattr(part, name))}
+    return str(part)
 
 
 def _emit(args, started: float, verdict, witness, lines: list) -> None:
@@ -295,12 +296,7 @@ def _emit(args, started: float, verdict, witness, lines: list) -> None:
                "timings": {"seconds": round(time.monotonic() - started, 6)}}
         lines = [json.dumps(doc, indent=2, default=_jsonable)]
     texts = []
-    # A derivation exists only once `subtyping` is loaded, so looking for
-    # one imports nothing.
-    subtyping = sys.modules.get("mpst.subtyping")
     for line in lines:  # a loop, not a helper: one frame less per level
-        if subtyping and isinstance(line, subtyping.NsubDerivation):
-            line = subtyping.format_derivation(line)
         texts.append("".join(map(str, line)) if type(line) is tuple else str(line))
     try:
         for text in texts:

@@ -91,6 +91,10 @@ def format_derivation(d: NsubDerivation, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
+# A derivation's text is its str, with no frame between str and the text.
+NsubDerivation.__str__ = format_derivation
+
+
 def _singleton(t, i: int):
     return type(t)(t.partner, (t.branches[i],))
 
@@ -164,17 +168,15 @@ def nsub(a: S.SessionType, b: S.SessionType) -> NsubDerivation:
             return NsubDerivation("nsub-in-out", x, y)
         bx = x.branches[0]
         by = y.branches[0]
-        rule = "nsub-in-in" if isinstance(x, S.TIn) else "nsub-out-out"
+        if isinstance(x, S.TIn):  # input sorts are contravariant
+            rule, lo, hi = "nsub-in-in", by.sort, bx.sort
+        else:
+            rule, lo, hi = "nsub-out-out", bx.sort, by.sort
         if bx.label != by.label:
             return NsubDerivation(rule, x, y, note="labels differ")
-        if isinstance(x, S.TIn):
-            if not subsort(by.sort, bx.sort):
-                return NsubDerivation(rule, x, y,
-                                      note=f"sort {by.sort} is not a subsort of {bx.sort}")
-        else:
-            if not subsort(bx.sort, by.sort):
-                return NsubDerivation(rule, x, y,
-                                      note=f"sort {bx.sort} is not a subsort of {by.sort}")
+        if not subsort(lo, hi):
+            return NsubDerivation(rule, x, y,
+                                  note=f"sort {lo} is not a subsort of {hi}")
         grown = visited | {(x, y)}  # hashes the pair once
         if len(grown) == len(visited):  # the pair is on the path already
             return None

@@ -12,8 +12,9 @@ subtyping.
 Synthesis reconstructs a minimal type: input sorts are guessed largest-first
 (int, then bool, then nat, since input sorts are contravariant), the sort of
 a variable the body does not read is int, outputs take the payload's
-inferred sort, and a conditional joins its arms either by regular-tree
-equality or as a union of outputs to one receiver.
+inferred sort, and a conditional joins its arms in two cases only: equal
+trees, and output unions to one receiver whose shared labels carry equal
+sorts and equal continuations (see `_join`).
 """
 
 from __future__ import annotations
@@ -187,8 +188,11 @@ def synthesize_process(gamma: dict, env: dict, p: S.Process,
 
 
 def _join(a: S.SessionType, b: S.SessionType, path: tuple) -> S.SessionType:
-    """Least upper bound of two branch types, when the type language can
-    express it: equal trees collapse, outputs to one receiver form a union."""
+    """The type of a conditional whose arms have types a and b.  Only two
+    cases join: equal trees, and output unions to one receiver whose shared
+    labels carry equal sorts and equal continuations.  So the arms
+    `q!l(1).p!a(1).0` and `q!l(2).p!b(2).0` raise illegalUnion, though
+    `q!l(nat).(p!a(nat).end \\/ p!b(nat).end)` covers both."""
     if S.regular_tree_equal(a, b):
         return a
     na = S.unfold_spine(a)

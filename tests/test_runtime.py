@@ -88,7 +88,7 @@ class TestStepAll:
         assert len(steps) == 1
         st, m2 = steps[0]
         assert st.rule == "r-comm"
-        assert st.line == "p --l(7)--> q"
+        assert st.line == str(st) == "p --l(7)--> q"
         assert (st.source, st.label, st.target) == ("p", "l", "q")
         assert st.value == S.Num(7)
         assert show(m2) == "@q p!m(7).0"

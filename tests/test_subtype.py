@@ -387,6 +387,7 @@ class TestDerivationChecker:
                 v = decide(a, b)
                 if v.relation == "nleq":
                     check_refutation(v.derivation, a, b)
+                    assert str(v.derivation) == format_derivation(v.derivation)
                     refuted += 1
         assert refuted == 108
 

@@ -532,6 +532,7 @@ class TestHelpers:
     def test_unfold(self):
         t = parse_session_type("mu t.p!l(nat).t")
         assert show(unfold(t)) == "p!l(nat).(mu t.p!l(nat).t)"
+        assert unfold(unfold(t)) is unfold(t)  # a non-binder stays itself
 
     def test_unfold_is_computed_once_per_binder(self):
         for t in (parse_session_type("mu t.p!l(nat).t"),
