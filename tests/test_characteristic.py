@@ -233,7 +233,7 @@ class TestPreciseness:
         searched = []
 
         def search(m, fuel):
-            searched.append(m)
+            searched.append((m, fuel))
             if outcome != "stuckFound":
                 return StuckReport(outcome, explored=3)
             return StuckReport(outcome, (Step("r-comm", "a -> b: l(5)"),), m, 3)
@@ -241,7 +241,8 @@ class TestPreciseness:
         monkeypatch.setattr("mpst.runtime.stuck_search", search)
         t, tp = T(fixture_text(left)), T(fixture_text(right))
         report = preciseness_check(t, tp, fuel=7)
-        [session] = searched
+        [(session, fuel)] = searched
+        assert fuel == 7
         assert show(session) == show(counterexample_session(t, tp))
         leq = left == "sec5_nat.mpst"
         assert report.relation == ("leq" if leq else "nleq")
