@@ -281,10 +281,12 @@ def _failure(e: Exception) -> tuple[str, int]:
 
 def _jsonable(part):
     """`json.dumps`'s hook: a record that is not a term, such as a
-    derivation, as the dict of its non-empty fields in field order; anything
-    else, a term included, as its text."""
+    derivation, as the dict of its non-empty fields in field order, tuples
+    as lists made here (half the encoder's frames per level of nesting);
+    anything else, a term included, as its text."""
     if isinstance(part, Record) and not isinstance(part, _Term):
-        return {name: value for name in part._fields
+        return {name: list(map(_jsonable, value)) if type(value) is tuple
+                else value for name in part._fields
                 if (value := getattr(part, name))}
     return str(part)
 

@@ -12,9 +12,8 @@ subtyping.
 Synthesis reconstructs a minimal type: input sorts are guessed largest-first
 (int, then bool, then nat, since input sorts are contravariant), the sort of
 a variable the body does not read is int, outputs take the payload's
-inferred sort, and a conditional joins its arms in two cases only: equal
-trees, and output unions to one receiver whose shared labels carry equal
-sorts and equal continuations (see `_join`).
+inferred sort, and a conditional joins its arms only as equal trees or as
+output unions to one receiver that agree on each shared label (`_join`).
 """
 
 from __future__ import annotations

@@ -601,6 +601,24 @@ class TestMalformedInput:
                                         for a in argv[1:]))
             assert (done.returncode, done.stderr) == (code, err), n
 
+    def test_a_refutation_nests_as_deep_in_json_as_in_text(self, tmp_path):
+        # The JSON witness nests a dict and a list per derivation level, and
+        # prints wherever the text does: at the longest refuted chain the
+        # text form prints, and not one prefix further.
+        def code(n, *flags):
+            for name, last in (("a.mpst", "int"), ("b.mpst", "nat")):
+                (tmp_path / name).write_text(
+                    "p!l(nat)." * n + f"p!m({last}).end")
+            return run_fresh(*flags, "subtype", str(tmp_path / "a.mpst"),
+                             str(tmp_path / "b.mpst")).returncode
+
+        lo, hi = 1, 1000  # the text form prints at lo and not at hi
+        assert (code(lo), code(hi)) == (1, 2)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if code(mid) == 1 else (lo, mid)
+        assert (code(lo, "--json"), code(hi, "--json")) == (1, 2), lo
+
     def test_every_nesting_limit_in_the_readme_is_checked(self):
         text = (pathlib.Path(__file__).parent.parent / "README.md").read_text(
             encoding="utf-8")
